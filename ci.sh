@@ -3,7 +3,8 @@
 # cheapest to most expensive so failures surface fast.
 #
 #   ./ci.sh                # full gate: lint, fmt, clippy, build, tests, perf smoke
-#   ./ci.sh --quick        # skip the release build, perf smoke and colord smoke
+#   ./ci.sh --quick        # skip the release build, benchmark tests, perf
+#                          # smoke and colord smoke
 #   ./ci.sh --no-lint      # skip the radio-lint static-analysis gate
 #   ./ci.sh --no-dry-run   # skip the scenario-registry dry-run gate
 #   ./ci.sh --no-colord    # skip the colord TCP service smoke gate
@@ -161,18 +162,30 @@ if [[ $dry_run -eq 1 ]]; then
 fi
 
 if [[ $quick -eq 0 ]]; then
-    echo "==> cargo build --release"
-    cargo build --release
+    # --workspace: a bare build at the root compiles only the root
+    # package, not the slot_throughput / colord / colord-load binaries
+    # the legs below run.
+    echo "==> cargo build --release --workspace"
+    cargo build --release --workspace
+
+    # The repo benchmark (perfbench/, its own cargo workspace) builds
+    # against crates/* by path; its tests run every workload at tiny
+    # size, so a change that breaks its path dependencies or the
+    # radio_sim imports it uses fails here, not in the benchmark run.
+    echo "==> perfbench tests (benchmark build gate)"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
     # Perf trajectory: delivery-kernel slots/sec on dense UDG workloads.
-    # Writes BENCH_sim.json and fails if the scatter kernel — bare or
-    # behind the Ideal channel model — ever drops below 2x the
-    # reference listener-side re-scan at Δ=128, or if the monitored
-    # kernel+Ideal path drops below 1.8x (monitoring must stay cheap
-    # enough to leave on). Also times the sharded slot-parallel driver
-    # end-to-end (sharded_slots_per_sec / sharded_vs_kernel fields) and
-    # — on hosts with ≥4 threads — gates it at ≥2x the kernel leg at
-    # n=1024, Δ*=128.
+    # Every leg runs as interleaved repetitions and the gates read the
+    # median per-repetition ratio. Writes BENCH_sim.json (min / median /
+    # max per field) and fails if the scatter kernel — bare or behind
+    # the Ideal channel model — drops below 2x the reference
+    # listener-side re-scan at Δ=128, or if the monitored kernel+Ideal
+    # path drops below 1.8x (monitoring must stay cheap enough to leave
+    # on). Also times the sharded slot-parallel driver end-to-end
+    # (sharded_slots_per_sec / sharded_vs_kernel fields) and — on hosts
+    # with ≥4 threads — gates it at ≥2x the kernel leg at n=1024,
+    # Δ*=128.
     echo "==> slot_throughput microbench"
     ./target/release/slot_throughput BENCH_sim.json
 

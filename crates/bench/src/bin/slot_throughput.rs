@@ -27,6 +27,14 @@
 //! ratio is recorded in `BENCH_sim.json` (next to a `threads` field)
 //! but not asserted, since the driver falls back to sequential there.
 //!
+//! Every leg runs [`REPS`] times, interleaved (reference, kernel, …,
+//! reference, kernel, …), so slow drift of the host hits all legs
+//! alike. A micro-leg sample repeats the 300-slot schedule until the
+//! fastest leg takes at least [`MIN_SAMPLE_SECS`]. Each ratio is taken
+//! per repetition, from samples measured back to back, and the gates
+//! read its **median**; `BENCH_sim.json` records min / median / max of
+//! every field.
+//!
 //! ```text
 //! slot_throughput [OUT.json]        # default: BENCH_sim.json
 //! ```
@@ -51,6 +59,10 @@ const TX_P: f64 = 0.1;
 const MICRO_SLOTS: usize = 300;
 /// End-to-end lock-step slot budget per workload.
 const E2E_SLOTS: Slot = 1_500;
+/// Interleaved repetitions of every leg; the gates read the median.
+const REPS: usize = 11;
+/// Minimum wall time of one micro-leg sample.
+const MIN_SAMPLE_SECS: f64 = 0.005;
 
 /// A never-deciding beacon: sustained per-slot load for the end-to-end
 /// engine measurement.
@@ -241,21 +253,78 @@ fn time_sharded(graph: &Graph, delta: usize, shards: u32) -> f64 {
     (out.slots_run + 1) as f64 / secs
 }
 
+/// Min / median / max of one field over the [`REPS`] repetitions.
+#[derive(Clone, Copy)]
+struct Spread {
+    min: f64,
+    median: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut xs: Vec<f64>) -> Spread {
+        xs.sort_by(f64::total_cmp);
+        Spread {
+            min: xs[0],
+            median: xs[xs.len() / 2],
+            max: xs[xs.len() - 1],
+        }
+    }
+
+    /// Per-repetition ratio `num[i] / den[i]`.
+    fn ratio(num: &[f64], den: &[f64]) -> Spread {
+        Spread::of(num.iter().zip(den).map(|(a, b)| a / b).collect())
+    }
+
+    fn json(&self, precision: usize) -> String {
+        format!(
+            "{{\"min\": {:.p$}, \"median\": {:.p$}, \"max\": {:.p$}}}",
+            self.min,
+            self.median,
+            self.max,
+            p = precision
+        )
+    }
+}
+
+/// One micro-leg sample: `passes` timed passes over the schedule, each
+/// of which must reproduce `checksum`. Returns slots per second.
+fn sample(passes: usize, checksum: u64, leg: &dyn Fn() -> (f64, u64)) -> f64 {
+    let mut secs = 0.0;
+    for _ in 0..passes {
+        let (s, sum) = leg();
+        assert_eq!(sum, checksum, "a repeated pass changed its checksum");
+        secs += s;
+    }
+    (passes * MICRO_SLOTS) as f64 / secs
+}
+
+// Leg indices, in interleaving order.
+const REFERENCE: usize = 0;
+const KERNEL: usize = 1;
+const IDEAL: usize = 2;
+const LOSSY: usize = 3;
+const MONITORED: usize = 4;
+const LOCKSTEP: usize = 5;
+const SHARDED: usize = 6;
+const LEGS: usize = 7;
+
 struct Row {
     n: usize,
     target_delta: usize,
     measured_delta: usize,
-    reference_sps: f64,
-    kernel_sps: f64,
-    speedup: f64,
-    kernel_ideal_sps: f64,
-    ideal_speedup: f64,
-    kernel_lossy_sps: f64,
-    monitored_sps: f64,
-    monitor_speedup: f64,
-    lockstep_sps: f64,
-    sharded_sps: f64,
-    sharded_vs_kernel: f64,
+    passes: usize,
+    reference_sps: Spread,
+    kernel_sps: Spread,
+    speedup: Spread,
+    kernel_ideal_sps: Spread,
+    ideal_speedup: Spread,
+    kernel_lossy_sps: Spread,
+    monitored_sps: Spread,
+    monitor_speedup: Spread,
+    lockstep_sps: Spread,
+    sharded_sps: Spread,
+    sharded_vs_kernel: Spread,
 }
 
 fn main() {
@@ -272,68 +341,88 @@ fn main() {
             let points = uniform_square(n, side, &mut rng);
             let graph = build_udg(&points, 1.0);
             let measured_delta = graph.max_closed_degree();
-
             let schedule = draw_schedule(n, MICRO_SLOTS, 42);
-            // Untimed warm-up pass for each path.
-            let _ = time_kernel(&graph, &schedule[..10.min(schedule.len())]);
-            let _ = time_reference(&graph, &schedule[..10.min(schedule.len())]);
-            let (ref_secs, ref_sum) = time_reference(&graph, &schedule);
-            let (ker_secs, ker_sum) = time_kernel(&graph, &schedule);
+
+            let micro: [&dyn Fn() -> (f64, u64); 5] = [
+                &|| time_reference(&graph, &schedule),
+                &|| time_kernel(&graph, &schedule),
+                &|| time_kernel_channel(&graph, &schedule, ChannelSpec::Ideal),
+                &|| {
+                    time_kernel_channel(
+                        &graph,
+                        &schedule,
+                        ChannelSpec::ProbabilisticLoss { p: 0.1 },
+                    )
+                },
+                &|| time_kernel_monitored(&graph, &schedule),
+            ];
+            // Untimed warm-up pass per leg: pins each leg's checksum and
+            // sizes the samples.
+            let warm: Vec<(f64, u64)> = micro.iter().map(|leg| leg()).collect();
+            let sum = |leg: usize| warm[leg].1;
             assert_eq!(
-                ref_sum, ker_sum,
+                sum(REFERENCE),
+                sum(KERNEL),
                 "kernel and reference disagree on n={n} Δ*={target_delta}"
             );
-            let (ideal_secs, ideal_sum) =
-                time_kernel_channel(&graph, &schedule, ChannelSpec::Ideal);
             assert_eq!(
-                ker_sum, ideal_sum,
+                sum(KERNEL),
+                sum(IDEAL),
                 "Ideal channel path diverged from the bare kernel on n={n} Δ*={target_delta}"
             );
-            let (lossy_secs, _) =
-                time_kernel_channel(&graph, &schedule, ChannelSpec::ProbabilisticLoss { p: 0.1 });
-            let (mon_secs, mon_sum) = time_kernel_monitored(&graph, &schedule);
             assert_eq!(
-                ker_sum, mon_sum,
+                sum(KERNEL),
+                sum(MONITORED),
                 "monitored path diverged from the bare kernel on n={n} Δ*={target_delta}"
             );
+            let fastest = warm.iter().map(|w| w.0).fold(f64::INFINITY, f64::min);
+            let passes = (MIN_SAMPLE_SECS / fastest).ceil().max(1.0) as usize;
 
-            let reference_sps = MICRO_SLOTS as f64 / ref_secs;
-            let kernel_sps = MICRO_SLOTS as f64 / ker_secs;
-            let kernel_ideal_sps = MICRO_SLOTS as f64 / ideal_secs;
-            let monitored_sps = MICRO_SLOTS as f64 / mon_secs;
-            let sharded_sps = time_sharded(&graph, measured_delta, 0);
+            let mut sps: Vec<Vec<f64>> = vec![Vec::new(); LEGS];
+            for _ in 0..REPS {
+                for (leg, run) in micro.iter().enumerate() {
+                    sps[leg].push(sample(passes, sum(leg), *run));
+                }
+                sps[LOCKSTEP].push(time_lockstep(&graph, measured_delta));
+                sps[SHARDED].push(time_sharded(&graph, measured_delta, 0));
+            }
+            let spread = |leg: usize| Spread::of(sps[leg].clone());
+            let ratio = |leg: usize, base: usize| Spread::ratio(&sps[leg], &sps[base]);
             let row = Row {
                 n,
                 target_delta,
                 measured_delta,
-                reference_sps,
-                kernel_sps,
-                speedup: kernel_sps / reference_sps,
-                kernel_ideal_sps,
-                ideal_speedup: kernel_ideal_sps / reference_sps,
-                kernel_lossy_sps: MICRO_SLOTS as f64 / lossy_secs,
-                monitored_sps,
-                monitor_speedup: monitored_sps / reference_sps,
-                lockstep_sps: time_lockstep(&graph, measured_delta),
-                sharded_sps,
-                sharded_vs_kernel: sharded_sps / kernel_sps,
+                passes,
+                reference_sps: spread(REFERENCE),
+                kernel_sps: spread(KERNEL),
+                speedup: ratio(KERNEL, REFERENCE),
+                kernel_ideal_sps: spread(IDEAL),
+                ideal_speedup: ratio(IDEAL, REFERENCE),
+                kernel_lossy_sps: spread(LOSSY),
+                monitored_sps: spread(MONITORED),
+                monitor_speedup: ratio(MONITORED, REFERENCE),
+                lockstep_sps: spread(LOCKSTEP),
+                sharded_sps: spread(SHARDED),
+                sharded_vs_kernel: ratio(SHARDED, KERNEL),
             };
             println!(
-                "n={:5} Δ*={:3} (measured {:3}): reference {:>12.0} slots/s, kernel {:>12.0} slots/s ({:4.1}x), +ideal channel {:>12.0} slots/s ({:4.1}x), +lossy {:>12.0} slots/s, +monitor {:>12.0} slots/s ({:4.1}x), lockstep e2e {:>10.0} slots/s, sharded e2e {:>10.0} slots/s ({:4.1}x kernel)",
+                "n={:5} Δ*={:3} (measured {:3}), medians of {REPS}: reference {:>10.0} slots/s, kernel {:>10.0} slots/s ({:4.2}x, range {:4.2}–{:4.2}), +ideal channel {:>10.0} slots/s ({:4.2}x), +lossy {:>10.0} slots/s, +monitor {:>10.0} slots/s ({:4.2}x), lockstep e2e {:>9.0} slots/s, sharded e2e {:>9.0} slots/s ({:4.2}x kernel)",
                 row.n,
                 row.target_delta,
                 row.measured_delta,
-                row.reference_sps,
-                row.kernel_sps,
-                row.speedup,
-                row.kernel_ideal_sps,
-                row.ideal_speedup,
-                row.kernel_lossy_sps,
-                row.monitored_sps,
-                row.monitor_speedup,
-                row.lockstep_sps,
-                row.sharded_sps,
-                row.sharded_vs_kernel,
+                row.reference_sps.median,
+                row.kernel_sps.median,
+                row.speedup.median,
+                row.speedup.min,
+                row.speedup.max,
+                row.kernel_ideal_sps.median,
+                row.ideal_speedup.median,
+                row.kernel_lossy_sps.median,
+                row.monitored_sps.median,
+                row.monitor_speedup.median,
+                row.lockstep_sps.median,
+                row.sharded_sps.median,
+                row.sharded_vs_kernel.median,
             );
             rows.push(row);
         }
@@ -343,27 +432,35 @@ fn main() {
     json.push_str("{\n  \"bench\": \"slot_throughput\",\n");
     let _ = writeln!(json, "  \"tx_probability\": {TX_P},");
     let _ = writeln!(json, "  \"micro_slots\": {MICRO_SLOTS},");
+    let _ = writeln!(json, "  \"repetitions\": {REPS},");
+    let _ = writeln!(
+        json,
+        "  \"statistic\": \"median of interleaved repetitions\","
+    );
     let _ = writeln!(json, "  \"threads\": {threads},");
     json.push_str("  \"workloads\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"n\": {}, \"target_delta\": {}, \"measured_delta\": {}, \"reference_slots_per_sec\": {:.1}, \"kernel_slots_per_sec\": {:.1}, \"speedup\": {:.2}, \"kernel_ideal_channel_slots_per_sec\": {:.1}, \"ideal_channel_speedup\": {:.2}, \"kernel_lossy_channel_slots_per_sec\": {:.1}, \"kernel_monitored_slots_per_sec\": {:.1}, \"monitor_speedup\": {:.2}, \"lockstep_slots_per_sec\": {:.1}, \"sharded_slots_per_sec\": {:.1}, \"sharded_vs_kernel\": {:.2}}}",
-            r.n,
-            r.target_delta,
-            r.measured_delta,
-            r.reference_sps,
-            r.kernel_sps,
-            r.speedup,
-            r.kernel_ideal_sps,
-            r.ideal_speedup,
-            r.kernel_lossy_sps,
-            r.monitored_sps,
-            r.monitor_speedup,
-            r.lockstep_sps,
-            r.sharded_sps,
-            r.sharded_vs_kernel,
+            "    {{\"n\": {}, \"target_delta\": {}, \"measured_delta\": {}, \"passes_per_sample\": {}",
+            r.n, r.target_delta, r.measured_delta, r.passes,
         );
+        for (key, field, precision) in [
+            ("reference_slots_per_sec", r.reference_sps, 1),
+            ("kernel_slots_per_sec", r.kernel_sps, 1),
+            ("speedup", r.speedup, 2),
+            ("kernel_ideal_channel_slots_per_sec", r.kernel_ideal_sps, 1),
+            ("ideal_channel_speedup", r.ideal_speedup, 2),
+            ("kernel_lossy_channel_slots_per_sec", r.kernel_lossy_sps, 1),
+            ("kernel_monitored_slots_per_sec", r.monitored_sps, 1),
+            ("monitor_speedup", r.monitor_speedup, 2),
+            ("lockstep_slots_per_sec", r.lockstep_sps, 1),
+            ("sharded_slots_per_sec", r.sharded_sps, 1),
+            ("sharded_vs_kernel", r.sharded_vs_kernel, 2),
+        ] {
+            let _ = write!(json, ", \"{key}\": {}", field.json(precision));
+        }
+        json.push('}');
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ]\n}\n");
@@ -375,21 +472,21 @@ fn main() {
     // layer must not eat that margin on the Ideal path.
     for r in rows.iter().filter(|r| r.target_delta == 128) {
         assert!(
-            r.speedup >= 2.0,
-            "kernel speedup {:.2}x < 2x on n={} Δ*=128",
-            r.speedup,
+            r.speedup.median >= 2.0,
+            "median kernel speedup {:.2}x < 2x on n={} Δ*=128",
+            r.speedup.median,
             r.n
         );
         assert!(
-            r.ideal_speedup >= 2.0,
-            "kernel+Ideal channel speedup {:.2}x < 2x on n={} Δ*=128",
-            r.ideal_speedup,
+            r.ideal_speedup.median >= 2.0,
+            "median kernel+Ideal channel speedup {:.2}x < 2x on n={} Δ*=128",
+            r.ideal_speedup.median,
             r.n
         );
         assert!(
-            r.monitor_speedup >= 1.8,
-            "monitored kernel+Ideal speedup {:.2}x < 1.8x on n={} Δ*=128 — monitoring got too expensive",
-            r.monitor_speedup,
+            r.monitor_speedup.median >= 1.8,
+            "median monitored kernel+Ideal speedup {:.2}x < 1.8x on n={} Δ*=128 — monitoring got too expensive",
+            r.monitor_speedup.median,
             r.n
         );
         // The sharded-driver gate only bites where parallelism exists:
@@ -397,9 +494,9 @@ fn main() {
         // fallback and the ratio merely gets recorded, not asserted.
         if threads >= 4 && r.n == 1024 {
             assert!(
-                r.sharded_vs_kernel >= 2.0,
-                "sharded e2e {:.2}x < 2x kernel on n=1024 Δ*=128 with {threads} threads",
-                r.sharded_vs_kernel,
+                r.sharded_vs_kernel.median >= 2.0,
+                "median sharded e2e {:.2}x < 2x kernel on n=1024 Δ*=128 with {threads} threads",
+                r.sharded_vs_kernel.median,
             );
         }
     }

@@ -3,9 +3,9 @@
 //!
 //! The `experiments` binary (`cargo run --release -p radio-bench --bin
 //! experiments -- all`) regenerates every quantitative claim of the
-//! paper; criterion benches in `benches/` cover the kernels and one
-//! end-to-end run per comparison. See DESIGN.md §3 for the experiment
-//! index and EXPERIMENTS.md for paper-vs-measured results.
+//! paper; the `slot_throughput` binary is the delivery-kernel perf gate
+//! that `ci.sh` runs. See DESIGN.md §3 for the experiment index and
+//! EXPERIMENTS.md for paper-vs-measured results.
 
 pub mod experiments;
 pub mod scenario;

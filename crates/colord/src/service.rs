@@ -3,8 +3,8 @@
 //! [`Service`] owns one [`ColoringNode`] FSM per joined node and steps
 //! them with the simulator's exact intra-slot ordering (wake-ups →
 //! deadlines → transmission draws → deliveries, receive-installed
-//! behaviors effective the next slot; see
-//! `radio_transport::pump::pump_node`). The only difference from a
+//! behaviors effective the next slot; see the ordering contract in
+//! `radio_transport::protocol`). The only difference from a
 //! simulation run is that the graph and the node set change over time:
 //! joins wake a fresh FSM at the next slot, leaves detach a node
 //! mid-run. Decided nodes keep transmitting their `M_C` beacons

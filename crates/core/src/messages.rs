@@ -65,19 +65,18 @@ impl ColoringMsg {
     }
 }
 
-// Wire tags for the transport encoding below. One byte each — the
-// encoded sizes (9–21 bytes) keep the O(log n) message-size claim
-// honest on the real-network path too.
+// Wire tags for the byte encoding below. One byte each — the encoded
+// sizes (9–21 bytes) keep the O(log n) message-size claim honest.
 const TAG_COMPETE: u8 = 1;
 const TAG_DECIDED: u8 = 2;
 const TAG_ASSIGN: u8 = 3;
 const TAG_REQUEST: u8 = 4;
 
-/// The byte encoding used when a [`ColoringMsg`] crosses a real
-/// transport (loopback or TCP): a one-byte variant tag followed by the
-/// variant's fields in declaration order, fixed-width little-endian.
-/// The simulated engines never serialize (messages move as values), so
-/// this codec cannot perturb simulation results; equivalence tests pin
+/// The byte encoding of a [`ColoringMsg`] for a byte stream: a
+/// one-byte variant tag followed by the variant's fields in
+/// declaration order, fixed-width little-endian. The simulated engines
+/// never serialize (messages move as values), so this codec cannot
+/// perturb simulation results; the tests below pin
 /// `decode(encode(m)) == m`.
 impl WireMessage for ColoringMsg {
     fn encode(&self, out: &mut FramePayload) {

@@ -147,16 +147,16 @@ OPTIONS:
     -h, --help          this help
 
 RULES:
-    R1  ambient-time-rng     no Instant/SystemTime/thread_rng in sim library code
+    R1  ambient-time-rng     no Instant/SystemTime/thread_rng in sim/transport code
     R2  hash-iteration       no HashMap/HashSet on deterministic paths
     R3  no-panic             no unwrap/expect/panic! in engine hot paths
     R4  hook-parity          run_* entries route through SimDriver or delegate
                              (transitively) to their run_*_monitored sibling
     R5  transition-table     LEGAL_TRANSITIONS <-> node.rs <-> invariants.rs
-    R6  service-ambient-rng  transport/colord: wall clock ok, ambient RNG banned
+    R6  service-ambient-rng  colord: wall clock ok, ambient RNG banned
     R7  shard-phase          sharded engine: cross-shard state only in phase_*
                              fns behind Mutex/atomics; 6/2 barrier schedule
-    R8  hook-order           the three slot loops fire hooks in one order
+    R8  hook-order           the two slot loops fire hooks in one order
     R9  wire-exhaustive      wire enums covered in encode/decode/dispatch
     R10 interior-mutability  no Cell/RefCell/unsafe in shard-shared types
 

@@ -27,10 +27,10 @@ pub enum Rule {
     /// the `invariants.rs` legality arms agree on the Fig. 2 edge set.
     TransitionTable,
     /// R6: the narrower R1 for real-network service code
-    /// (`crates/transport`, `crates/colord`): wall-clock time is fine —
-    /// servers pace and report in seconds — but ambient RNG is still
-    /// banned, because protocol coin flips must replay from
-    /// `node_rng(seed, id)` regardless of which transport carries them.
+    /// (`crates/colord`): wall-clock time is fine — servers pace and
+    /// report in seconds — but ambient RNG is still banned, because
+    /// protocol coin flips must replay from `node_rng(seed, id)`
+    /// whichever driver steps them.
     ServiceAmbientRng,
     /// R7: in the sharded engine, cross-shard state (`Ctx::mailbox`,
     /// the `Shared` block) is touched only inside `phase_*` functions
@@ -38,9 +38,9 @@ pub enum Rule {
     /// schedule keeps the documented 6-wait monitored / 2-wait
     /// unmonitored shape in both slot loops.
     ShardPhase,
-    /// R8: the three slot loops (`lockstep::drive`,
-    /// `SlotStepper::step`, `pump_node`) fire monitor/channel hooks in
-    /// the same event-class order.
+    /// R8: the two slot loops (`lockstep::drive`,
+    /// `SlotStepper::step`) fire monitor/channel hooks in the same
+    /// event-class order.
     HookOrder,
     /// R9: every wire-enum variant is covered in `encode`, `decode`,
     /// and the colord server dispatch; `EventKind` variants each have
@@ -317,19 +317,19 @@ pub fn check_ambient(file: &str, toks: &[Tok]) -> Vec<Diagnostic> {
 /// Deliberately narrower than [`check_ambient`]: `Instant`/`SystemTime`
 /// are legitimate in a server (pacing, timeouts, throughput reporting),
 /// so only the RNG half of R1 applies. This is a scoped rule, not a
-/// waiver — blanket `lint:allow(ambient-time-rng)` waivers in transport
+/// waiver — blanket `lint:allow(ambient-time-rng)` waivers in service
 /// code would also have silenced the RNG ban.
 pub fn check_service_ambient(file: &str, toks: &[Tok]) -> Vec<Diagnostic> {
     const BANNED: &[(&str, &str)] = &[
         (
             "thread_rng",
             "ambient RNG in service code: protocol coin flips must replay \
-             from `node_rng(seed, id)` under any transport",
+             from `node_rng(seed, id)` under any driver",
         ),
         (
             "from_entropy",
             "OS-entropy seeding in service code: protocol coin flips must \
-             replay from `node_rng(seed, id)` under any transport",
+             replay from `node_rng(seed, id)` under any driver",
         ),
     ];
     let mut out = Vec::new();

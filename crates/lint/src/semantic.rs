@@ -388,14 +388,13 @@ fn count_waits(toks: &[crate::lexer::Tok], span: &[usize]) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// R8 — hook-order conformance across the three slot loops.
+// R8 — hook-order conformance across the two slot loops.
 // ---------------------------------------------------------------------------
 
-/// The three slot loops whose monitor/channel hook order must agree.
+/// The two slot loops whose monitor/channel hook order must agree.
 pub const HOOK_ROOTS: &[(&str, &str)] = &[
     ("crates/sim/src/engine/lockstep.rs", "drive"),
     ("crates/core/src/step.rs", "step"),
-    ("crates/transport/src/pump.rs", "pump_node"),
 ];
 
 /// Hook names grouped into the four intra-slot event classes. The
@@ -522,7 +521,7 @@ pub fn check_hook_order(graph: &CallGraph<'_>) -> Vec<Diagnostic> {
                     Rule::HookOrder,
                     format!(
                         "`{}` drives hooks as {:?}, but `{}::{}` drives them \
-                         as {:?} — the three slot loops must fire the same \
+                         as {:?} — the slot loops must fire the same \
                          event-class sequence",
                         s.fn_name, s.classes, reference.file, reference.fn_name, reference.classes
                     ),

@@ -1,13 +1,14 @@
 //! Green fixture for the R1/R6 scope split: service code under
-//! `crates/transport` may read the wall clock. Were this file under
-//! `crates/sim`, both `Instant` uses below would be R1 violations —
+//! `crates/colord` may read the wall clock. Were this file under
+//! `crates/sim` or `crates/transport`, both `Instant` uses below would
+//! be R1 violations —
 //! the clean corpus passing proves the narrower R6 applies instead,
 //! without any waiver.
 
 use std::time::Instant;
 
 /// Paces a reconnect loop — a legitimately wall-clock-driven concern
-/// that a real-network transport owns and a simulator must not.
+/// that a real-network service owns and a simulator must not.
 pub struct Backoff {
     started: Instant,
     attempts: u32,

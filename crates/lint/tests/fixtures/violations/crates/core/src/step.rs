@@ -1,5 +1,6 @@
-//! Fixture: a conforming slot stepper — R8's violation is in the
-//! transport pump, not here.
+//! Fixture: a slot stepper that delivers before it transmits — R8 must
+//! flag the Receive/Transmit inversion against the lockstep
+//! reference.
 
 pub struct SlotStepper;
 
@@ -7,8 +8,8 @@ impl SlotStepper {
     pub fn step(&mut self, slot: u64) {
         self.node.on_wake(slot);
         self.node.on_deadline(slot);
+        self.node.on_receive(slot, 0);
         let msg = self.node.message(slot);
         self.sink.on_transmit(slot, msg);
-        self.node.on_receive(slot, msg);
     }
 }

@@ -1,5 +1,5 @@
-//! Fixture: the conforming reference slot loop R8 compares the other
-//! roots against (the violation lives in `transport/src/pump.rs`).
+//! Fixture: the conforming reference slot loop R8 compares the
+//! stepper against (the violation lives in `core/src/step.rs`).
 
 pub fn drive(nodes: &mut [Node], m: &mut Monitor, slot: u64) {
     wake_phase(nodes, m, slot);

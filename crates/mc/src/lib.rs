@@ -14,8 +14,9 @@
 //!   `urn_coloring::step::Witness` schedules, and the pipeline that
 //!   turns a violating path into a shrunk `ReproCase` artifact.
 //! * [`project`] — trace projection for *concrete* executions: an
-//!   `InvariantMonitor` and a protocol wrapper that map engine and
-//!   transport runs onto the same abstract machine, for conformance
+//!   `InvariantMonitor` and a protocol wrapper that map engine runs
+//!   onto the same abstract machine, from either side of the hook
+//!   seam, for conformance
 //!   checking and edge coverage.
 //! * [`diagram`] — the Graphviz rendering of the legality table that
 //!   `docs/state_machine.dot` is generated from.

@@ -12,8 +12,8 @@
 //!   table while accumulating the covered edge set.
 //! * [`Projected`] wraps a protocol *inside itself*, recording the
 //!   projection from the node's own callbacks. It needs no monitor
-//!   seam at all, which is what lets the transport loopback runs (one
-//!   thread per node, no engine) project the same machine.
+//!   seam at all, so it also projects runs whose driver attaches no
+//!   monitor.
 //!
 //! Both record an edge at every observation, including self-loops —
 //! a `Colored` node beaconing its class observes `Colored → Colored`,
@@ -120,8 +120,8 @@ impl<P: ObservableColoring> InvariantMonitor<P> for ProjectionMonitor {
 /// delegates to the inner protocol, then records the abstract edge the
 /// callback produced. Where [`ProjectionMonitor`] watches from the
 /// engine's side of the hook seam, `Projected` watches from the
-/// protocol's side — so it also works under drivers with no monitor
-/// seam at all (the transport loopback pump).
+/// protocol's side — so it also works on runs with no monitor
+/// attached.
 #[derive(Clone, Debug)]
 pub struct Projected<P> {
     inner: P,

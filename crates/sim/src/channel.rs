@@ -66,10 +66,35 @@ use crate::protocol::Slot;
 use crate::rng::splitmix64;
 use radio_graph::NodeId;
 
-// The (listener, slot) observation vocabulary is shared with the
-// non-simulated media and lives in the transport crate; the historical
-// `radio_sim::channel::{Contention, Reception}` paths keep working.
-pub use radio_transport::medium::{Contention, Reception};
+/// One reception opportunity: what the delivery kernel observed at a
+/// single (listener, slot) pair.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Contention {
+    /// The listening node.
+    pub listener: NodeId,
+    /// The listener's (local) slot.
+    pub slot: Slot,
+    /// Number of transmitting neighbors, ≥ 1. Sources that cannot count
+    /// beyond "more than one" (the reference sweep, the overlap kernel)
+    /// report 2 for any collision; models must not distinguish counts
+    /// ≥ 2.
+    pub transmitters: u32,
+    /// The unique sender when `transmitters == 1`.
+    pub winner: Option<NodeId>,
+}
+
+/// What the listener experiences in the slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reception {
+    /// The message of this (unique) sender is decoded.
+    Deliver(NodeId),
+    /// Two or more neighbors transmitted: physical collision.
+    Collide,
+    /// The channel silently lost a deliverable slot.
+    Drop,
+    /// An adversary jammed a deliverable slot.
+    Jam,
+}
 
 /// The reception decision, pluggable per run.
 ///

@@ -1,8 +1,8 @@
 //! Length-prefixed wire frames and the payload codec.
 //!
-//! Every byte stream in this crate (the TCP slot protocol, the `colord`
-//! client protocol) is a sequence of *frames*: a little-endian `u32`
-//! length followed by that many payload bytes. Payloads are built and
+//! Every byte stream in the workspace (the `colord` client protocol)
+//! is a sequence of *frames*: a little-endian `u32` length followed by
+//! that many payload bytes. Payloads are built and
 //! parsed with [`FramePayload`] / [`FrameReader`] — fixed-width
 //! little-endian scalars plus length-prefixed byte strings, no
 //! self-description, no reflection — and protocol message types opt in
@@ -10,8 +10,8 @@
 
 use std::io::{self, Read, Write};
 
-/// Hard cap on a single frame's payload size. Nothing in the slot
-/// protocol or the `colord` wire comes near 1 MiB; anything larger is a
+/// Hard cap on a single frame's payload size. Nothing in the coloring
+/// messages or the `colord` wire comes near 1 MiB; anything larger is a
 /// corrupt or hostile stream and is rejected before allocation.
 pub const MAX_FRAME: usize = 1 << 20;
 
@@ -217,8 +217,8 @@ impl<'a> FrameReader<'a> {
     }
 }
 
-/// A message type with a canonical byte encoding, so the same protocol
-/// FSM can be driven over byte-oriented transports.
+/// A message type with a canonical byte encoding, so it can cross a
+/// byte stream such as the `colord` client protocol.
 ///
 /// The codec must round-trip exactly: `decode(encode(m)) == m`. No
 /// versioning or self-description — both ends of a connection run the
@@ -245,28 +245,6 @@ pub trait WireMessage: Sized {
         let m = Self::decode(&mut r)?;
         r.finish()?;
         Ok(m)
-    }
-}
-
-/// Plain `u32` payloads, used by tests and toy protocols.
-impl WireMessage for u32 {
-    fn encode(&self, out: &mut FramePayload) {
-        out.put_u32(*self);
-    }
-
-    fn decode(r: &mut FrameReader<'_>) -> Result<Self, FrameError> {
-        r.take_u32()
-    }
-}
-
-/// Plain `u64` payloads, used by tests and toy protocols.
-impl WireMessage for u64 {
-    fn encode(&self, out: &mut FramePayload) {
-        out.put_u64(*self);
-    }
-
-    fn decode(r: &mut FrameReader<'_>) -> Result<Self, FrameError> {
-        r.take_u64()
     }
 }
 
@@ -339,13 +317,26 @@ mod tests {
         assert_eq!(r.finish(), Err(FrameError::Trailing));
     }
 
+    #[derive(Debug, PartialEq)]
+    struct Word(u64);
+
+    impl WireMessage for Word {
+        fn encode(&self, out: &mut FramePayload) {
+            out.put_u64(self.0);
+        }
+
+        fn decode(r: &mut FrameReader<'_>) -> Result<Self, FrameError> {
+            r.take_u64().map(Word)
+        }
+    }
+
     #[test]
     fn wire_message_blanket_helpers() {
-        let v: u64 = 0x0123_4567_89AB_CDEF;
+        let v = Word(0x0123_4567_89AB_CDEF);
         let p = v.to_payload();
-        assert_eq!(u64::from_payload(&p), Ok(v));
+        assert_eq!(Word::from_payload(&p), Ok(v));
         let mut with_junk = p.clone();
         with_junk.push(0);
-        assert_eq!(u64::from_payload(&with_junk), Err(FrameError::Trailing));
+        assert_eq!(Word::from_payload(&with_junk), Err(FrameError::Trailing));
     }
 }

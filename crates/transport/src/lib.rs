@@ -1,41 +1,24 @@
-//! The transport seam under the radio protocol FSM.
+//! The protocol contract, frame codec and per-node RNG shared by the
+//! simulator, the coloring algorithm and the `colord` service.
 //!
-//! The MW-2005 node state machine is written against
-//! [`RadioProtocol`]: a handful of callbacks fired on wake-up,
-//! deadlines, transmissions and receptions, each threaded with the
-//! node's private RNG stream. Historically the only thing that could
-//! fire those callbacks was the simulator's slot-loop engines; this
-//! crate extracts the protocol-driving surface so the *identical* FSM
-//! code path runs over any medium that implements [`Transport`]:
+//! * [`protocol`]: the MW-2005 node state machine is written against
+//!   [`RadioProtocol`], a handful of callbacks fired on wake-up,
+//!   deadlines, transmissions and receptions. The simulator's engines
+//!   (`radio-sim` re-exports these types) and colord's shard loop are
+//!   the drivers that fire them.
+//! * [`frame`]: length-prefixed byte frames and the [`WireMessage`]
+//!   codec, used by the coloring messages and colord's client protocol.
+//! * [`rng`]: [`node_rng`], the per-node RNG stream every driver hands
+//!   to the callbacks, so a node's coin flips replay from
+//!   `(seed, index)` whichever driver runs it.
 //!
-//! * the simulator (`radio-sim` re-exports this crate's protocol types
-//!   and its engines remain one — highly optimized — driver of it);
-//! * the in-process [`loopback`] medium: one OS thread per node, a
-//!   shared slot clock, exactly the paper's collision rule — and
-//!   bit-identical to the simulator's lock-step engine for the same
-//!   `(graph, wake, seed)` (pinned by `tests/transport_equivalence.rs`
-//!   at the workspace root);
-//! * a real network: the [`tcp`] medium serializes the same slot
-//!   protocol over `std::net` TCP with length-prefixed [`frame`]s and
-//!   one thread per connection.
-//!
-//! Layering: this crate sits *below* `radio-sim` (it depends only on
-//! `radio-graph` and the vendored `rand`), so the simulator, the
-//! algorithm crate and the `colord` service can all share one
-//! definition of slots, behaviors, contention and wire framing.
+//! Layering: this crate sits *below* `radio-sim` and depends only on
+//! the vendored `rand`.
 
 pub mod frame;
-pub mod loopback;
-pub mod medium;
 pub mod protocol;
-pub mod pump;
 pub mod rng;
-pub mod tcp;
 
 pub use frame::{read_frame, write_frame, FrameError, FramePayload, FrameReader, WireMessage};
-pub use loopback::{run_loopback, LoopbackEndpoint, LoopbackHub, LoopbackOutcome};
-pub use medium::{Contention, Reception};
 pub use protocol::{Behavior, BehaviorFault, ProtocolError, RadioProtocol, Slot};
-pub use pump::{pump_node, NodeReport, PumpError, Transport};
 pub use rng::node_rng;
-pub use tcp::{TcpEndpoint, TcpHub};

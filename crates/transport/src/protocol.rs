@@ -1,6 +1,6 @@
 //! The protocol interface between per-node state machines and the
-//! media that drive them (simulation engines, the loopback medium, the
-//! TCP transport).
+//! drivers that fire their callbacks (the simulation engines and
+//! colord's shard loop).
 //!
 //! A protocol describes a node's externally visible behavior as a
 //! sequence of [`Behavior`] segments: during a segment the node either
@@ -9,9 +9,7 @@
 //! is received. This factoring lets the *same protocol code* run under
 //! both the lock-step reference engine (one Bernoulli draw per slot) and
 //! the event-driven engine (geometric skip sampling) — the two are
-//! distributionally identical because Bernoulli trials are memoryless —
-//! as well as over a real transport, where the per-slot draws happen on
-//! the node's side of the wire (see [`crate::pump`]).
+//! distributionally identical because Bernoulli trials are memoryless.
 //!
 //! # Intra-slot ordering contract (all drivers)
 //!
