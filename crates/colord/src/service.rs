@@ -29,8 +29,9 @@
 //! [`ColoringNode`]: urn_coloring::ColoringNode
 
 use crate::router::Router;
-use crate::shard::{worker_loop, Frame, Shard, Shared, SpinBarrier, StepCtx};
+use crate::shard::{worker_loop, Frame, Shard, Shared, StepCtx};
 use radio_graph::NodeId;
+use radio_sim::SpinBarrier;
 use radio_transport::rng::node_rng;
 use radio_transport::Slot;
 use std::collections::BTreeMap;

@@ -6,23 +6,11 @@
 //! channel outcomes from seeded RNG streams; exhaustive exploration
 //! instead needs those decisions as *explicit inputs* so every
 //! resolution of the nondeterminism can be enumerated. [`SlotStepper`]
-//! reproduces the lock-step engine's intra-slot hook order exactly —
-//!
-//! 1. wake-ups (ascending node id, matching the engine's stable
-//!    wake-order sort),
-//! 2. deadlines (`until == Some(slot)` fires `on_deadline`),
-//! 3. transmissions for the chosen transmitter set (`message` +
-//!    monitor `on_transmit`),
-//! 4. deliveries: an awake non-transmitter with *exactly one*
-//!    transmitting neighbor receives, unless the choice drops it
-//!    (collisions and drops both deliver nothing, exactly like the
-//!    engine's Collide/Drop outcomes),
-//!
-//! — with the decided flag noted (and `on_decided` fired once) right
-//! after the wake/deadline/receive hook that caused it, the same
-//! placement as `SimDriver::note_decided`. What the engines decide by
-//! coin flip, a [`SlotChoice`] decides by bitmask; everything else is
-//! the one shared transition semantics.
+//! is the engines' slot core ([`radio_sim::engine::slot::SlotCore`]) at
+//! `k = 1` — the same phases, per-node hook sequence and delivery step
+//! the lock-step engine runs — with a [`SlotChoice`] supplying what the
+//! engines draw by coin flip: the `tx` mask replaces the Bernoulli
+//! transmission draw, and the `drop` mask is the channel model.
 //!
 //! A recorded sequence of choices is a [`Witness`]: the model checker
 //! attaches one to each counterexample it converts into a
@@ -31,9 +19,10 @@
 
 use crate::invariants::ObservableColoring;
 use radio_graph::{Graph, NodeId};
-use radio_sim::{Behavior, InvariantMonitor, Slot};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use radio_sim::engine::slot::{SlotCore, Solo};
+use radio_sim::{
+    Behavior, ChannelModel, Contention, InvariantMonitor, RadioProtocol, Reception, Slot,
+};
 
 /// One slot's resolution of the model's nondeterminism, as bitmasks
 /// over node ids (bit `v` = node `v`; exploration is bounded to 64
@@ -68,7 +57,8 @@ impl Witness {
     pub fn without_node(&self, k: NodeId) -> Witness {
         let drop_bit = |m: u64| {
             let low = m & ((1u64 << k) - 1);
-            let high = (m >> (k + 1)) << k;
+            // `k + 1` reaches 64 for the top node: nothing lies above it.
+            let high = m.checked_shr(k + 1).unwrap_or(0) << k;
             low | high
         };
         Witness {
@@ -84,22 +74,37 @@ impl Witness {
     }
 }
 
-/// The deterministic single-slot transition function (see the module
-/// docs for the exact hook order it shares with the engines).
+/// The channel model of a [`SlotChoice`]: a singleton delivery is
+/// dropped iff the listener's `drop` bit is set; two or more
+/// transmitting neighbours collide.
+#[derive(Clone, Copy, Debug, Default)]
+struct DropMask(u64);
+
+impl ChannelModel for DropMask {
+    fn decide(&mut self, c: &Contention) -> Reception {
+        match c.winner {
+            Some(_) if self.0 >> c.listener & 1 == 1 => Reception::Drop,
+            Some(w) => Reception::Deliver(w),
+            None => Reception::Collide,
+        }
+    }
+}
+
+/// The deterministic single-slot transition function: the slot core at
+/// `k = 1` under explicit [`SlotChoice`]s (see the module docs).
 ///
 /// A stepper is cheap to clone (per-node protocol state plus a few
-/// masks), which is what makes it the explorer's search-node
+/// small arrays), which is what makes it the explorer's search-node
 /// representation: branch by cloning, then [`step`](Self::step) each
 /// clone with a different [`SlotChoice`].
 #[derive(Clone)]
-pub struct SlotStepper<'a, P> {
+pub struct SlotStepper<'a, P: RadioProtocol> {
     graph: &'a Graph,
-    wake: &'a [Slot],
-    nodes: Vec<P>,
+    core: SlotCore<'a, P, DropMask>,
+    /// The core's behavior table as enum values, refreshed after every
+    /// phase (the explorer fingerprints it).
     behaviors: Vec<Option<Behavior>>,
-    decided: Vec<bool>,
     slot: Slot,
-    rng: SmallRng,
 }
 
 impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
@@ -116,16 +121,13 @@ impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
         assert!(n <= 64, "choice bitmasks cover at most 64 nodes");
         SlotStepper {
             graph,
-            wake,
-            nodes,
-            behaviors: vec![None; n],
-            decided: vec![false; n],
-            slot: 0,
             // The coloring protocol draws no randomness (all its
-            // Bernoulli behavior lives in the engine's transmission
-            // draws, which the SlotChoice replaces), so any fixed seed
-            // yields the same deterministic run.
-            rng: SmallRng::seed_from_u64(0),
+            // Bernoulli behavior lives in the transmission draws, which
+            // the SlotChoice replaces), so any fixed seed yields the
+            // same deterministic run.
+            core: SlotCore::new(graph, wake, &Solo, nodes, 0, DropMask::default()),
+            behaviors: vec![None; n],
+            slot: 0,
         }
     }
 
@@ -136,7 +138,7 @@ impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
 
     /// The per-node protocol states.
     pub fn nodes(&self) -> &[P] {
-        &self.nodes
+        self.core.protocols()
     }
 
     /// `true` once node `v` has woken (has a behavior installed).
@@ -154,7 +156,7 @@ impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
     /// `true` when every node has woken and decided — the engines'
     /// termination condition.
     pub fn all_decided(&self) -> bool {
-        self.behaviors.iter().all(Option::is_some) && self.decided.iter().all(|&d| d)
+        self.core.done()
     }
 
     /// Per-node `(state, slot)` observations for the awake nodes
@@ -164,7 +166,7 @@ impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
     /// every expansion.
     pub fn observations(&self) -> Vec<Option<(crate::node::ObservedState, Slot)>> {
         let at = self.slot;
-        self.nodes
+        self.nodes()
             .iter()
             .zip(&self.behaviors)
             .map(|(p, b)| b.map(|_| (p.observe(at), at)))
@@ -175,7 +177,7 @@ impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
     /// projection-monitor seed matching [`observations`](Self::observations).
     pub fn abstract_tags(&self) -> Vec<&'static str> {
         let at = self.slot;
-        self.nodes
+        self.nodes()
             .iter()
             .zip(&self.behaviors)
             .map(|(p, b)| match b {
@@ -190,23 +192,8 @@ impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
     /// transmit this slot (awake, in a `Transmit` segment) — the
     /// domain the caller picks a [`SlotChoice::tx`] from.
     pub fn begin_slot<M: InvariantMonitor<P>>(&mut self, monitor: &mut M) -> u64 {
-        let slot = self.slot;
-        for v in 0..self.nodes.len() {
-            if self.wake[v] == slot && self.behaviors[v].is_none() {
-                let b = self.nodes[v].on_wake(slot, &mut self.rng);
-                self.behaviors[v] = Some(b);
-                monitor.after_wake(v as NodeId, slot, &self.nodes[v]);
-                self.note_decided(v, slot, monitor);
-            }
-        }
-        for v in 0..self.nodes.len() {
-            if self.behaviors[v].and_then(|b| b.until()) == Some(slot) {
-                let b = self.nodes[v].on_deadline(slot, &mut self.rng);
-                self.behaviors[v] = Some(b);
-                monitor.after_deadline(v as NodeId, slot, &self.nodes[v]);
-                self.note_decided(v, slot, monitor);
-            }
-        }
+        self.core.phase_wakes_deadlines(self.slot, &Solo, monitor);
+        self.refresh();
         let mut capable = 0u64;
         for (v, b) in self.behaviors.iter().enumerate() {
             if matches!(b, Some(Behavior::Transmit { .. })) {
@@ -224,7 +211,7 @@ impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
     /// a [`SlotChoice::drop`] from.
     pub fn singleton_receivers(&self, tx: u64) -> u64 {
         let mut out = 0u64;
-        for u in 0..self.nodes.len() {
+        for u in 0..self.behaviors.len() {
             if tx >> u & 1 == 1 || self.behaviors[u].is_none() {
                 continue;
             }
@@ -251,42 +238,12 @@ impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
         monitor: &mut M,
     ) -> bool {
         let slot = self.slot;
-        let n = self.nodes.len();
-        let mut air: Vec<Option<P::Message>> = (0..n).map(|_| None).collect();
-        let mut tx = 0u64;
-        for (v, slot_air) in air.iter_mut().enumerate() {
-            if choice.tx >> v & 1 == 1
-                && matches!(self.behaviors[v], Some(Behavior::Transmit { .. }))
-            {
-                let msg = self.nodes[v].message(slot, &mut self.rng);
-                monitor.on_transmit(v as NodeId, slot, &msg, &self.nodes[v]);
-                *slot_air = Some(msg);
-                tx |= 1 << v;
-            }
-        }
-        for u in 0..n {
-            if tx >> u & 1 == 1 || self.behaviors[u].is_none() {
-                continue;
-            }
-            let mut sender = None;
-            let mut hot = 0usize;
-            for &w in self.graph.neighbors(u as NodeId) {
-                if tx >> w & 1 == 1 {
-                    hot += 1;
-                    sender = Some(w);
-                }
-            }
-            if hot != 1 || choice.drop >> u & 1 == 1 {
-                continue;
-            }
-            let msg =
-                air[sender.expect("hot == 1") as usize].expect("transmitter parked a message");
-            if let Some(nb) = self.nodes[u].on_receive(slot, &msg, &mut self.rng) {
-                self.behaviors[u] = Some(nb);
-            }
-            monitor.after_receive(u as NodeId, slot, &msg, &self.nodes[u]);
-            self.note_decided(u, slot, monitor);
-        }
+        self.core
+            .phase_tx(slot, &Solo, |v, _, _| choice.tx >> v & 1 == 1, monitor);
+        self.core.channel_mut().0 = choice.drop;
+        self.core.phase_deliver(slot, &Solo, monitor);
+        self.core.compact();
+        self.refresh();
         self.slot += 1;
         self.all_decided()
     }
@@ -298,10 +255,9 @@ impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
         self.finish_slot(choice, monitor)
     }
 
-    fn note_decided<M: InvariantMonitor<P>>(&mut self, v: usize, slot: Slot, monitor: &mut M) {
-        if !self.decided[v] && self.nodes[v].is_decided() {
-            self.decided[v] = true;
-            monitor.on_decided(v as NodeId, slot, &self.nodes[v]);
+    fn refresh(&mut self) {
+        for (v, b) in self.behaviors.iter_mut().enumerate() {
+            *b = self.core.behavior(v as NodeId);
         }
     }
 }
@@ -394,6 +350,17 @@ mod tests {
         let r0 = w.without_node(0);
         assert_eq!(r0.schedule[0].tx, 0b101);
         assert_eq!(r0.schedule[0].drop, 0b010);
+        // Removing node 63 (the top bit of a full 64-node mask) must
+        // not shift by 64: bit 63 vanishes, nothing moves.
+        let full = Witness {
+            schedule: vec![SlotChoice {
+                tx: u64::MAX,
+                drop: 1 << 63 | 1,
+            }],
+        };
+        let r63 = full.without_node(63);
+        assert_eq!(r63.schedule[0].tx, 0x7fff_ffff_ffff_ffff);
+        assert_eq!(r63.schedule[0].drop, 1);
     }
 
     #[test]

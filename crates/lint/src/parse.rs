@@ -2,7 +2,7 @@
 //! top of the [`crate::lexer`] token stream.
 //!
 //! This is not a Rust parser — it is the smallest item-shape
-//! recognizer the semantic rules (R4's delegation closure, R7–R10)
+//! recognizer the semantic rules (R4's delegation closure, R7, R9, R10)
 //! need: item names, body token ranges, enum variants, struct field
 //! names and types, and impl-block membership. It stays
 //! zero-dependency and handles exactly the constructs that appear in

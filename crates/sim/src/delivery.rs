@@ -39,13 +39,18 @@ use crate::channel::{ChannelModel, Contention, Reception};
 use crate::protocol::Slot;
 use radio_graph::{Graph, NodeId};
 
-/// Scatter-accumulate delivery for aligned-slot engines (lock-step and
-/// event-driven).
+/// Scatter-accumulate delivery for the aligned-slot engines: the slot
+/// core ([`crate::engine::slot`]) behind lock-step, the sharded driver
+/// and the event engine.
 ///
 /// Per slot: call [`begin_slot`](Self::begin_slot) once, then
 /// [`transmit`](Self::transmit) for every node that puts a message on
-/// the air, then read the touched listeners back with
-/// [`touched`](Self::touched) / [`unique_sender`](Self::unique_sender).
+/// the air (or [`mark_transmitter`](Self::mark_transmitter) plus one
+/// [`add`](Self::add) per listener), then read the touched listeners
+/// back with [`touched`](Self::touched) /
+/// [`unique_sender`](Self::unique_sender). A shard's kernel is indexed
+/// by shard-local node index, so it touches only its own
+/// cache-resident arrays; senders stay global ids.
 #[derive(Clone, Debug)]
 pub struct DeliveryKernel {
     /// Current slot epoch; 0 means "no slot started yet".
@@ -97,6 +102,38 @@ impl DeliveryKernel {
             self.count[ui] += 1;
             self.sender[ui] = t;
         }
+    }
+
+    /// Records that `t` transmits this slot (a transmitter cannot
+    /// receive) without scattering: the sharded driver scatters itself,
+    /// because only it knows which neighbors are local.
+    #[inline]
+    pub fn mark_transmitter(&mut self, t: NodeId) {
+        self.tx_epoch[t as usize] = self.epoch;
+    }
+
+    /// Accumulates one transmission from `sender` at listener `u`.
+    /// Returns `true` iff this was the slot's *first* contribution at
+    /// `u` — the sharded driver stores a boundary message exactly then,
+    /// so a remote unique winner's payload is at hand without buffering
+    /// every colliding message.
+    ///
+    /// In a shard's kernel, `u` (and [`mark_transmitter`]'s `t`) are
+    /// *local* indices while `sender` stays a global id.
+    ///
+    /// [`mark_transmitter`]: Self::mark_transmitter
+    #[inline]
+    pub fn add(&mut self, u: NodeId, sender: NodeId) -> bool {
+        let ui = u as usize;
+        let first = self.stamp[ui] != self.epoch;
+        if first {
+            self.stamp[ui] = self.epoch;
+            self.count[ui] = 0;
+            self.touched.push(u);
+        }
+        self.count[ui] += 1;
+        self.sender[ui] = sender;
+        first
     }
 
     /// `true` if `v` transmitted this slot (a transmitter cannot
@@ -151,123 +188,6 @@ impl DeliveryKernel {
             slot,
             transmitters: self.tx_count(u),
             winner: self.unique_sender(u),
-        }
-    }
-}
-
-/// Scatter-accumulate delivery for **one shard** of the sharded driver
-/// ([`crate::engine::sharded`]).
-///
-/// Listener accumulators are indexed by *shard-local* index (dense in
-/// the shard's member count, so a shard of an n-node graph touches only
-/// its own cache-resident arrays), while senders are identified by
-/// *global* node id — the winner of a contention may live in another
-/// shard, reaching this one through the boundary exchange. Local
-/// transmissions land via [`add`](Self::add) during the shard's own
-/// scatter phase; remote ones via the same `add` when the boundary
-/// queues are merged. As in [`DeliveryKernel`], per-slot state is
-/// invalidated in O(1) by an epoch bump.
-#[derive(Clone, Debug)]
-pub struct ShardKernel {
-    /// Current slot epoch; 0 means "no slot started yet".
-    epoch: u64,
-    /// Epoch at which each local node last transmitted.
-    tx_epoch: Vec<u64>,
-    /// Epoch at which each local listener's accumulator was last reset.
-    stamp: Vec<u64>,
-    /// Number of transmitting neighbors this slot (local + remote).
-    count: Vec<u32>,
-    /// Most recent transmitting neighbor this slot (global id).
-    sender: Vec<NodeId>,
-    /// Local listeners with `count > 0` this slot, in first-touch order.
-    touched: Vec<u32>,
-}
-
-impl ShardKernel {
-    /// A kernel for a shard owning `len` nodes.
-    pub fn new(len: usize) -> Self {
-        ShardKernel {
-            epoch: 0,
-            tx_epoch: vec![0; len],
-            stamp: vec![0; len],
-            count: vec![0; len],
-            sender: vec![0; len],
-            touched: Vec::new(),
-        }
-    }
-
-    /// Starts a new slot, invalidating all per-slot state in O(1).
-    #[inline]
-    pub fn begin_slot(&mut self) {
-        self.epoch += 1;
-        self.touched.clear();
-    }
-
-    /// Records that the local node `lt` transmits this slot (a
-    /// transmitter cannot receive). Scattering to its neighbors is the
-    /// caller's job — the caller knows which neighbors are local
-    /// ([`add`](Self::add)) and which must cross the boundary.
-    #[inline]
-    pub fn mark_transmitter(&mut self, lt: u32) {
-        self.tx_epoch[lt as usize] = self.epoch;
-    }
-
-    /// Accumulates one transmission from `sender` (global id) at the
-    /// local listener `lu`. Returns `true` iff this was the slot's
-    /// *first* contribution at `lu` — the caller stores the boundary
-    /// message exactly then, so a remote unique winner's payload is at
-    /// hand without buffering every colliding message.
-    #[inline]
-    pub fn add(&mut self, lu: u32, sender: NodeId) -> bool {
-        let ui = lu as usize;
-        let first = self.stamp[ui] != self.epoch;
-        if first {
-            self.stamp[ui] = self.epoch;
-            self.count[ui] = 0;
-            self.touched.push(lu);
-        }
-        self.count[ui] += 1;
-        self.sender[ui] = sender;
-        first
-    }
-
-    /// `true` if local node `lv` transmitted this slot.
-    #[inline]
-    pub fn is_transmitter(&self, lv: u32) -> bool {
-        self.tx_epoch[lv as usize] == self.epoch
-    }
-
-    /// Local listeners with at least one transmitting neighbor this
-    /// slot, in first-touch order.
-    #[inline]
-    pub fn touched(&self) -> &[u32] {
-        &self.touched
-    }
-
-    /// For a touched local listener: `Some(global sender)` iff exactly
-    /// one neighbor transmitted.
-    #[inline]
-    pub fn unique_sender(&self, lu: u32) -> Option<NodeId> {
-        debug_assert_eq!(
-            self.stamp[lu as usize], self.epoch,
-            "query of an untouched listener"
-        );
-        if self.count[lu as usize] == 1 {
-            Some(self.sender[lu as usize])
-        } else {
-            None
-        }
-    }
-
-    /// The [`Contention`] for touched local listener `lu`, whose global
-    /// id is `u`, at `slot`.
-    #[inline]
-    pub fn contention(&self, u: NodeId, lu: u32, slot: Slot) -> Contention {
-        Contention {
-            listener: u,
-            slot,
-            transmitters: self.count[lu as usize],
-            winner: self.unique_sender(lu),
         }
     }
 }
@@ -709,8 +629,8 @@ mod tests {
         );
     }
 
-    /// Differential: running one slot through per-shard [`ShardKernel`]s
-    /// with a manual boundary exchange must reproduce the global
+    /// Differential: running one slot through per-shard kernels (local
+    /// indices, [`DeliveryKernel::add`]) with a manual boundary exchange must reproduce the global
     /// [`DeliveryKernel`]'s per-listener counts, unique senders and
     /// transmitter flags exactly, for any shard assignment.
     #[test]
@@ -733,8 +653,10 @@ mod tests {
 
             let mut global = DeliveryKernel::new(n);
             global.begin_slot();
-            let mut shards: Vec<ShardKernel> =
-                members.iter().map(|m| ShardKernel::new(m.len())).collect();
+            let mut shards: Vec<DeliveryKernel> = members
+                .iter()
+                .map(|m| DeliveryKernel::new(m.len()))
+                .collect();
             let mut boundary: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); k];
             for s in &mut shards {
                 s.begin_slot();
@@ -776,11 +698,7 @@ mod tests {
             assert_eq!(global_touched, shard_touched, "case {case}");
             for &u in &global_touched {
                 let (s, lu) = (shard_of[u as usize], local_of[u as usize]);
-                assert_eq!(
-                    global.tx_count(u),
-                    shards[s].contention(u, lu, 3).transmitters,
-                    "count at {u}"
-                );
+                assert_eq!(global.tx_count(u), shards[s].tx_count(lu), "count at {u}");
                 assert_eq!(
                     global.unique_sender(u),
                     shards[s].unique_sender(lu),

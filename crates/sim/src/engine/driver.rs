@@ -1,168 +1,43 @@
-//! The generic simulation driver: one owner for every cross-cutting
-//! concern the engines share.
+//! The generic simulation driver: the run-level owner of everything
+//! the engines share.
 //!
-//! Historically each engine (`lockstep`, `event`, `jittered`) threaded
-//! the [`ChannelModel`] trait, the
-//! [`InvariantMonitor`], per-node statistics, the bounded fault log and
-//! protocol-error handling by hand through its own loop — six
-//! near-duplicate entry points that every new layer had to be wired
-//! into individually. [`SimDriver`] centralizes that wiring: it owns
-//! the per-node RNG streams, behaviors, stats, decision bookkeeping,
-//! the built channel model and the fault log, and exposes the hook
-//! sequence as small methods ([`wake_up`](SimDriver::wake_up),
-//! [`fire_deadline`](SimDriver::fire_deadline),
-//! [`broadcast`](SimDriver::broadcast), [`resolve`](SimDriver::resolve),
-//! [`deliver`](SimDriver::deliver)) that fire the protocol callback,
-//! validate the returned behavior, drive the monitor and update stats
-//! in the one canonical order.
-//!
-//! An [`Engine`] is now only a *slot-advance strategy*: a unit struct
-//! whose [`drive`](Engine::drive) owns nothing but engine-local
-//! scheduling state (an active set, an event heap, a packet queue) and
-//! calls back into the driver for every semantic step. The hook stack
-//! every run goes through is:
+//! [`SimDriver::run`] builds one [`SlotCore`] over the whole node set
+//! (the [`Solo`] placement: local index = global id), hands it to an
+//! [`Engine`] — a *slot-advance strategy* — and assembles the
+//! [`SimOutcome`] epilogue. The core owns the per-node RNG streams,
+//! behaviors, stats, decision bookkeeping, channel model, delivery
+//! kernel and fault log; the driver adds the slot budget and the
+//! [`InvariantMonitor`], which every hook calls directly:
 //!
 //! ```text
-//!             SimDriver::run::<E, P, M>
-//!                       │
-//!             E::drive (slot advance)
-//!        ┌───────────┬──┴────────┬───────────┐
-//!     wake_up   fire_deadline  broadcast  deliver
-//!        │           │            │          │
-//!        ▼           ▼            ▼          ▼
-//!   RadioProtocol callback → Behavior::validate_at
-//!        │
-//!        ▼
-//!   ChannelModel::decide (resolve: Collide/Drop/Jam bookkeeping)
-//!        │
-//!        ▼
-//!   InvariantMonitor hook (after_*, on_transmit, on_decided)
-//!        │
-//!        ▼
-//!   NodeStats / fault log / trace events
+//!                SimDriver::run::<E, P, M>
+//!                          │
+//!                E::drive (slot advance)
+//!        ┌─────────────────┼──────────────────────┐
+//!    Lockstep          EventSkip               Jittered
+//!   step_slot:      wake_up / fire_deadline   wake_up / fire_deadline
+//!   the three       transmit + deliver_slot   compose / resolve / deliver
+//!   core phases     (the core's delivery step) (half-slot overlap rule)
+//!        └─────────────────┼──────────────────────┘
+//!                          ▼
+//!   NodeTable: callback → take_breach → validate_at → install
+//!              → InvariantMonitor hook → on_decided
+//!                          ▼
+//!   ChannelModel::decide → NodeStats / fault log
 //! ```
 //!
-//! [`SimDriver::run`] is the only entry point: the legacy `run_*` /
-//! `run_*_monitored` shims were retired one release after the driver
-//! unification, exactly as announced. A fourth execution strategy — the
-//! slot-parallel sharded driver in [`super::sharded`] — shares the same
-//! per-node semantics but runs its own SPMD loop; the bit-identity pin
-//! in `tests/driver_identity.rs` now compares it against this
-//! sequential driver.
+//! The slot-parallel driver ([`super::sharded`]) runs the same core
+//! phases per shard; `tests/driver_identity.rs` pins it bit-identical
+//! to `SimDriver::run::<Lockstep>`.
 
-use super::{collect_violations, log_fault, ExecutedEngine, NodeStats, SimConfig, SimOutcome};
-use crate::channel::{BuiltinChannel, ChannelModel, Contention, Reception};
+use super::slot::{coin_flip, SlotCore, Solo};
+use super::{collect_violations, ExecutedEngine, SimConfig, SimOutcome};
+use crate::channel::{BuiltinChannel, Contention};
 use crate::monitor::InvariantMonitor;
-use crate::protocol::{Behavior, ProtocolError, RadioProtocol, Slot};
-use crate::rng::node_rng;
-use crate::trace::Event;
-use radio_graph::bitset::BitSet;
+use crate::protocol::{Behavior, RadioProtocol, Slot};
 use radio_graph::{Graph, NodeId};
 use rand::rngs::SmallRng;
 use rand::Rng;
-
-/// Struct-of-arrays storage for per-node behavior segments.
-///
-/// The driver's hot sweeps (transmission draws, deadline scans, retired
-/// checks) used to pointer-chase a `Vec<Option<Behavior>>` whose
-/// three-word entries straddle cache lines. This table splits the same
-/// information into parallel arrays — two [`BitSet`] words answer
-/// "woken?" and "transmitting?" for 64 nodes per load, and the `f64`
-/// probabilities / deadline slots are dense arrays the sweep walks
-/// linearly. [`BehaviorTable::get`]/[`BehaviorTable::set`] round-trip
-/// [`Behavior`] values exactly (a `has_deadline` bitset keeps
-/// `until: Some(Slot::MAX)` distinct from `until: None`), so the
-/// enum-facing driver API is unchanged.
-pub(crate) struct BehaviorTable {
-    /// Node has a behavior installed (woke up).
-    present: BitSet,
-    /// Node's current segment is `Transmit { .. }`.
-    transmit: BitSet,
-    /// Node's current segment carries a deadline (`until` is `Some`).
-    has_deadline: BitSet,
-    /// Transmission probability; meaningful iff the transmit bit is set.
-    p: Vec<f64>,
-    /// Segment deadline; meaningful iff the has_deadline bit is set.
-    until: Vec<Slot>,
-}
-
-impl BehaviorTable {
-    /// An empty table for `n` nodes (no behaviors installed).
-    pub(crate) fn new(n: usize) -> Self {
-        BehaviorTable {
-            present: BitSet::new(n),
-            transmit: BitSet::new(n),
-            has_deadline: BitSet::new(n),
-            p: vec![0.0; n],
-            until: vec![0; n],
-        }
-    }
-
-    /// Node `v`'s behavior (`None` before wake-up).
-    #[inline]
-    pub(crate) fn get(&self, v: NodeId) -> Option<Behavior> {
-        let vi = v as usize;
-        if !self.present.contains(vi) {
-            return None;
-        }
-        let until = self.has_deadline.contains(vi).then(|| self.until[vi]);
-        Some(if self.transmit.contains(vi) {
-            Behavior::Transmit {
-                p: self.p[vi],
-                until,
-            }
-        } else {
-            Behavior::Silent { until }
-        })
-    }
-
-    /// Installs behavior `b` for node `v`.
-    #[inline]
-    pub(crate) fn set(&mut self, v: NodeId, b: Behavior) {
-        let vi = v as usize;
-        self.present.insert(vi);
-        let until = match b {
-            Behavior::Transmit { p, until } => {
-                self.transmit.insert(vi);
-                self.p[vi] = p;
-                until
-            }
-            Behavior::Silent { until } => {
-                self.transmit.remove(vi);
-                until
-            }
-        };
-        match until {
-            Some(u) => {
-                self.has_deadline.insert(vi);
-                self.until[vi] = u;
-            }
-            None => self.has_deadline.remove(vi),
-        }
-    }
-
-    /// Node `v`'s segment deadline, if present and set.
-    #[inline]
-    pub(crate) fn until(&self, v: NodeId) -> Option<Slot> {
-        let vi = v as usize;
-        (self.present.contains(vi) && self.has_deadline.contains(vi)).then(|| self.until[vi])
-    }
-
-    /// Transmission probability iff `v` is in a transmit segment.
-    #[inline]
-    pub(crate) fn tx_p(&self, v: NodeId) -> Option<f64> {
-        let vi = v as usize;
-        self.transmit.contains(vi).then(|| self.p[vi])
-    }
-
-    /// `true` iff `v` is installed as `Silent { until: None }` — the
-    /// permanently-quiet state [`SimDriver::retired`] looks for.
-    #[inline]
-    pub(crate) fn silent_forever(&self, v: NodeId) -> bool {
-        let vi = v as usize;
-        self.present.contains(vi) && !self.transmit.contains(vi) && !self.has_deadline.contains(vi)
-    }
-}
 
 /// What an [`Engine::drive`] implementation reports back to
 /// [`SimDriver::run`] when the slot-advance loop ends.
@@ -204,31 +79,19 @@ pub trait Engine {
 /// `&mut SimDriver` in [`Engine::drive`] and use the accessor and
 /// stepping methods below. See the module docs for the hook stack.
 pub struct SimDriver<'a, P: RadioProtocol, M: InvariantMonitor<P>> {
-    graph: &'a Graph,
-    wake: &'a [Slot],
     max_slots: Slot,
     monitor: &'a mut M,
-    protocols: Vec<P>,
-    rngs: Vec<SmallRng>,
-    behaviors: BehaviorTable,
-    stats: Vec<NodeStats>,
-    decided: BitSet,
-    undecided: usize,
-    channel: BuiltinChannel,
-    air: Vec<Option<P::Message>>,
-    faults: Vec<Event>,
-    faults_dropped: u64,
-    error: Option<ProtocolError>,
+    core: SlotCore<'a, P, BuiltinChannel>,
 }
 
 impl<'a, P: RadioProtocol, M: InvariantMonitor<P>> SimDriver<'a, P, M> {
     /// Runs `protocols` on `graph` under slot-advance strategy `E`.
     ///
-    /// This is the single code path behind every `run_*` /
-    /// `run_*_monitored` entry point: it builds the shared state (RNG
-    /// streams, channel model, stats, fault log), hands control to
-    /// [`Engine::drive`], and assembles the [`SimOutcome`] epilogue
-    /// (canonically sorted violations mirrored into the fault log).
+    /// The single code path behind every sequential run: it builds the
+    /// slot core (RNG streams, channel model, stats, fault log), hands
+    /// control to [`Engine::drive`], and assembles the [`SimOutcome`]
+    /// epilogue (canonically sorted violations mirrored into the fault
+    /// log).
     ///
     /// # Panics
     /// Panics if `wake.len()` or `protocols.len()` differ from
@@ -247,27 +110,16 @@ impl<'a, P: RadioProtocol, M: InvariantMonitor<P>> SimDriver<'a, P, M> {
         assert_eq!(wake.len(), n, "wake schedule length mismatch");
         assert_eq!(protocols.len(), n, "protocol vector length mismatch");
         let mut driver = SimDriver {
-            graph,
-            wake,
             max_slots: cfg.max_slots,
             monitor,
-            protocols,
-            rngs: (0..n as u32).map(|i| node_rng(seed, i)).collect(),
-            behaviors: BehaviorTable::new(n),
-            stats: wake
-                .iter()
-                .map(|&w| NodeStats {
-                    wake: w,
-                    ..NodeStats::default()
-                })
-                .collect(),
-            decided: BitSet::new(n),
-            undecided: n,
-            channel: cfg.channel.build(n, seed),
-            air: std::iter::repeat_with(|| None).take(n).collect(),
-            faults: Vec::new(),
-            faults_dropped: 0,
-            error: None,
+            core: SlotCore::new(
+                graph,
+                wake,
+                &Solo,
+                protocols,
+                seed,
+                cfg.channel.build(n, seed),
+            ),
         };
         let completion = E::drive(&mut driver, aux);
         driver.finish(completion)
@@ -278,20 +130,20 @@ impl<'a, P: RadioProtocol, M: InvariantMonitor<P>> SimDriver<'a, P, M> {
     /// Number of nodes.
     #[inline]
     pub fn n(&self) -> usize {
-        self.wake.len()
+        self.core.wake().len()
     }
 
     /// The network graph (untied from the driver borrow, so engines can
     /// hold it across mutating driver calls).
     #[inline]
     pub fn graph(&self) -> &'a Graph {
-        self.graph
+        self.core.graph()
     }
 
     /// Per-node wake slots, in each node's local slot count.
     #[inline]
     pub fn wake(&self) -> &'a [Slot] {
-        self.wake
+        self.core.wake()
     }
 
     /// The run's slot budget ([`SimConfig::max_slots`]).
@@ -303,81 +155,70 @@ impl<'a, P: RadioProtocol, M: InvariantMonitor<P>> SimDriver<'a, P, M> {
     /// Node `v`'s current behavior segment (`None` before wake-up).
     #[inline]
     pub fn behavior(&self, v: NodeId) -> Option<Behavior> {
-        self.behaviors.get(v)
+        self.core.behavior(v)
     }
 
     /// Node `v`'s current segment deadline, if any.
     #[inline]
     pub fn until(&self, v: NodeId) -> Option<Slot> {
-        self.behaviors.until(v)
+        self.core.nodes.behaviors.until(v)
     }
 
     /// Number of nodes that have not yet decided.
     #[inline]
     pub fn undecided(&self) -> usize {
-        self.undecided
-    }
-
-    /// `true` once a protocol callback returned a malformed behavior;
-    /// the engine must stop stepping (the stepping methods that can
-    /// observe this return `false` / `Err` at that point).
-    #[inline]
-    pub fn errored(&self) -> bool {
-        self.error.is_some()
-    }
-
-    /// `true` when `v` no longer needs per-slot attention: it has
-    /// decided and is permanently silent, so it draws no randomness,
-    /// meets no deadline, and never transmits again. Such nodes can be
-    /// compacted out of an engine's active set (they can still
-    /// *receive*; a reactivating `on_receive` puts them back).
-    #[inline]
-    pub fn retired(&self, v: NodeId) -> bool {
-        self.decided.contains(v as usize) && self.behaviors.silent_forever(v)
+        self.core.nodes.undecided
     }
 
     /// Node `v`'s private RNG stream (for engine-side schedule draws
     /// such as geometric transmission skips).
     #[inline]
     pub fn rng(&mut self, v: NodeId) -> &mut SmallRng {
-        &mut self.rngs[v as usize]
+        &mut self.core.nodes.rngs[v as usize]
     }
 
     // ---- stepping methods ----------------------------------------------
 
-    /// Wakes node `v` at `slot`: fires `on_wake`, validates and installs
-    /// the returned behavior, drives the monitor and decision
-    /// bookkeeping. Returns `false` if the behavior was malformed (the
-    /// error is recorded and the engine must stop).
+    /// One lock-step slot: the three core phases, with Bernoulli
+    /// transmission draws. Returns `false` once a protocol error stopped
+    /// the run.
     #[inline]
-    pub fn wake_up(&mut self, v: NodeId, slot: Slot) -> bool {
-        let vi = v as usize;
-        let b = self.protocols[vi].on_wake(slot, &mut self.rngs[vi]);
-        self.install(v, slot, b)
+    pub fn step_slot(&mut self, slot: Slot) -> bool {
+        let (core, monitor) = (&mut self.core, &mut *self.monitor);
+        core.phase_wakes_deadlines(slot, &Solo, monitor);
+        core.phase_tx(slot, &Solo, coin_flip, monitor);
+        core.phase_deliver(slot, &Solo, monitor);
+        !core.halted()
     }
 
-    /// Fires node `v`'s deadline at `slot`: `on_deadline`, validation,
-    /// monitor, decision bookkeeping. Returns `false` on a malformed
-    /// behavior.
+    /// `true` once every node woke and decided under
+    /// [`step_slot`](Self::step_slot).
+    #[inline]
+    pub fn all_done(&self) -> bool {
+        self.core.done()
+    }
+
+    /// End-of-slot compaction of the lock-step active set.
+    #[inline]
+    pub fn compact(&mut self) {
+        self.core.compact();
+    }
+
+    /// Wakes node `v` at `slot`: `on_wake` and the shared install
+    /// sequence. Returns `false` if the node misbehaved (the error is
+    /// recorded and the engine must stop).
+    #[inline]
+    pub fn wake_up(&mut self, v: NodeId, slot: Slot) -> bool {
+        let r = self.core.nodes.wake(v, v, slot, self.monitor);
+        self.core.check(r).is_some()
+    }
+
+    /// Fires node `v`'s deadline at `slot`: `on_deadline` and the
+    /// shared install sequence. Returns `false` if the node misbehaved.
     #[inline]
     pub fn fire_deadline(&mut self, v: NodeId, slot: Slot) -> bool {
-        let vi = v as usize;
-        let b = self.protocols[vi].on_deadline(slot, &mut self.rngs[vi]);
-        if self.check_breach(v, slot) {
-            return false;
-        }
-        if let Err(fault) = b.validate_at(slot) {
-            self.error = Some(ProtocolError {
-                node: v,
-                slot,
-                fault,
-            });
-            return false;
-        }
-        self.behaviors.set(v, b);
-        self.monitor.after_deadline(v, slot, &self.protocols[vi]);
-        self.note_decided(v, slot);
-        true
+        let r = self.core.nodes.deadline(v, v, slot, self.monitor);
+        self.core.check(r).is_some()
     }
 
     /// One Bernoulli transmission draw for node `v`'s current segment:
@@ -385,199 +226,93 @@ impl<'a, P: RadioProtocol, M: InvariantMonitor<P>> SimDriver<'a, P, M> {
     /// with probability `p` succeeds. Draws nothing for silent nodes.
     #[inline]
     pub fn bernoulli_tx(&mut self, v: NodeId) -> bool {
-        match self.behaviors.tx_p(v) {
-            Some(p) => self.rngs[v as usize].gen_bool(p),
+        match self.core.nodes.behaviors.tx_p(v) {
+            Some(p) => self.core.nodes.rngs[v as usize].gen_bool(p),
             None => false,
         }
     }
 
-    /// Builds node `v`'s message for `slot` and fires the transmit-side
-    /// hooks (monitor `on_transmit`, `sent` counter). The caller owns
-    /// the returned message's fate — aligned engines park it on the air
-    /// via [`broadcast`](Self::broadcast), the jittered engine wraps it
-    /// in a packet.
+    /// Starts an aligned slot's delivery accumulation (event engine).
     #[inline]
-    pub fn compose(&mut self, v: NodeId, slot: Slot) -> P::Message {
-        let vi = v as usize;
-        let msg = self.protocols[vi].message(slot, &mut self.rngs[vi]);
-        // A breach here cannot stop composition (the engine owns the
-        // message's fate); the recorded error vetoes `all_decided` and
-        // surfaces in the outcome like any other protocol error.
-        self.check_breach(v, slot);
-        self.monitor.on_transmit(v, slot, &msg, &self.protocols[vi]);
-        self.stats[vi].sent += 1;
-        msg
+    pub fn begin_slot(&mut self) {
+        self.core.kernel.begin_slot();
     }
 
-    /// [`compose`](Self::compose) for aligned-slot engines: the message
-    /// is parked on the air for this slot (read back by
-    /// [`air`](Self::air) during delivery).
+    /// Node `v` transmits at `slot` (event engine): composes its
+    /// message (monitor `on_transmit`, `sent` counter) and scatters it
+    /// into the delivery kernel. Returns `false` if the node misbehaved.
     #[inline]
-    pub fn broadcast(&mut self, v: NodeId, slot: Slot) {
-        let msg = self.compose(v, slot);
-        self.air[v as usize] = Some(msg);
+    pub fn transmit(&mut self, v: NodeId, slot: Slot) -> bool {
+        self.core.transmit(v, v, slot, &Solo, self.monitor)
     }
 
-    /// The message node `w` parked on the air this slot (cloned), if
-    /// any. Aligned engines never clear the air between slots — the
-    /// delivery kernel only ever reports current-slot transmitters.
+    /// The core's delivery step for `slot` (event engine): every
+    /// listener touched since [`begin_slot`](Self::begin_slot) is
+    /// decided by the channel model, and listeners that installed a
+    /// new behavior segment are appended to `changed`. Returns `false`
+    /// if a node misbehaved.
     #[inline]
-    pub fn air(&self, w: NodeId) -> Option<P::Message> {
-        self.air[w as usize].clone()
+    pub fn deliver_slot(&mut self, slot: Slot, changed: &mut Vec<NodeId>) -> bool {
+        let ok = self.core.deliver(slot, &Solo, self.monitor);
+        changed.append(&mut self.core.changed);
+        ok
     }
 
-    /// Lets the channel model decide a contention. On
-    /// [`Reception::Deliver`] returns the winning transmitter; the
-    /// Collide / Drop / Jam outcomes are fully absorbed here (listener
-    /// stats, bounded fault log) and return `None`.
+    /// Builds node `v`'s message for `slot` (jittered engine) and fires
+    /// the transmit-side hooks; the caller owns the returned message.
+    /// `None` if the node misbehaved.
+    #[inline]
+    pub fn compose(&mut self, v: NodeId, slot: Slot) -> Option<P::Message> {
+        let r = self.core.nodes.compose(v, v, slot, self.monitor);
+        self.core.check(r)?;
+        self.core.nodes.air[v as usize].clone()
+    }
+
+    /// Lets the channel model decide a contention (jittered engine). On
+    /// [`Reception::Deliver`](crate::channel::Reception::Deliver)
+    /// returns the winning transmitter; the other outcomes are absorbed
+    /// into the listener's stats and the bounded fault log.
     #[inline]
     pub fn resolve(&mut self, c: &Contention) -> Option<NodeId> {
-        let ui = c.listener as usize;
-        match self.channel.decide(c) {
-            Reception::Deliver(w) => return Some(w),
-            Reception::Collide => self.stats[ui].collisions += 1,
-            Reception::Drop => {
-                self.stats[ui].drops += 1;
-                log_fault(
-                    &mut self.faults,
-                    &mut self.faults_dropped,
-                    Event::Drop {
-                        node: c.listener,
-                        slot: c.slot,
-                    },
-                );
-            }
-            Reception::Jam => {
-                self.stats[ui].jams += 1;
-                log_fault(
-                    &mut self.faults,
-                    &mut self.faults_dropped,
-                    Event::Jam {
-                        node: c.listener,
-                        slot: c.slot,
-                    },
-                );
-            }
-        }
-        None
+        self.core.resolve(c.listener, c)
     }
 
-    /// Delivers `msg` to listener `u` at its local `slot`: `received`
-    /// counter, `on_receive`, validation of any returned behavior,
-    /// monitor `after_receive`, decision bookkeeping. `Ok(true)` means
-    /// the node installed a new behavior segment (engines react by
-    /// re-activating / re-scheduling it); `Err(())` means a malformed
-    /// behavior stopped the run — the unit error is deliberate: the
-    /// typed [`ProtocolError`] is recorded on the driver and surfaces
-    /// in [`SimOutcome::error`], engines only need the stop signal.
+    /// Delivers `msg` to listener `u` at its local `slot` (jittered
+    /// engine): `received` counter, `on_receive` and the shared install
+    /// sequence. `Ok(true)` means the node installed a new behavior
+    /// segment; `Err(())` means it misbehaved and the run must stop —
+    /// the typed [`crate::ProtocolError`] is recorded on the driver and
+    /// surfaces in [`SimOutcome::error`].
     #[inline]
     #[allow(clippy::result_unit_err)]
     pub fn deliver(&mut self, u: NodeId, slot: Slot, msg: &P::Message) -> Result<bool, ()> {
-        let ui = u as usize;
-        self.stats[ui].received += 1;
-        let nb = self.protocols[ui].on_receive(slot, msg, &mut self.rngs[ui]);
-        if self.check_breach(u, slot) {
-            return Err(());
-        }
-        let mut changed = false;
-        if let Some(nb) = nb {
-            if let Err(fault) = nb.validate_at(slot) {
-                self.error = Some(ProtocolError {
-                    node: u,
-                    slot,
-                    fault,
-                });
-                return Err(());
-            }
-            self.behaviors.set(u, nb);
-            changed = true;
-        }
-        self.monitor
-            .after_receive(u, slot, msg, &self.protocols[ui]);
-        self.note_decided(u, slot);
-        Ok(changed)
-    }
-
-    // ---- internals -----------------------------------------------------
-
-    /// Validates and installs behavior `b` for `v` (wake-up path), then
-    /// fires `after_wake` and decision bookkeeping.
-    #[inline]
-    fn install(&mut self, v: NodeId, slot: Slot, b: Behavior) -> bool {
-        let vi = v as usize;
-        if self.check_breach(v, slot) {
-            return false;
-        }
-        if let Err(fault) = b.validate_at(slot) {
-            self.error = Some(ProtocolError {
-                node: v,
-                slot,
-                fault,
-            });
-            return false;
-        }
-        self.behaviors.set(v, b);
-        self.monitor.after_wake(v, slot, &self.protocols[vi]);
-        self.note_decided(v, slot);
-        true
-    }
-
-    /// Polls [`RadioProtocol::take_breach`] after a callback on `v`:
-    /// records the typed error and returns `true` if the last callback
-    /// was invoked outside the driver contract.
-    #[inline]
-    fn check_breach(&mut self, v: NodeId, slot: Slot) -> bool {
-        match self.protocols[v as usize].take_breach() {
-            Some(fault) => {
-                self.error = Some(ProtocolError {
-                    node: v,
-                    slot,
-                    fault,
-                });
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Flips `v`'s decided flag (once) when its protocol reports
-    /// decided, recording the slot and firing `on_decided`.
-    #[inline]
-    fn note_decided(&mut self, v: NodeId, slot: Slot) {
-        let vi = v as usize;
-        if !self.decided.contains(vi) && self.protocols[vi].is_decided() {
-            self.decided.insert(vi);
-            self.stats[vi].decided_at = Some(slot);
-            self.undecided -= 1;
-            self.monitor.on_decided(v, slot, &self.protocols[vi]);
-        }
+        let r = self.core.nodes.receive(u, u, slot, msg, self.monitor);
+        self.core.check(r).ok_or(())
     }
 
     /// The engine epilogue: canonicalizes the channel-fault log, drains
     /// and sorts monitor violations, mirrors them into the fault log,
     /// and assembles the outcome.
     fn finish(self, completion: Completion) -> SimOutcome<P> {
-        let SimDriver {
-            monitor,
-            protocols,
-            stats,
+        let SimDriver { monitor, core, .. } = self;
+        let SlotCore {
+            nodes,
             mut faults,
             mut faults_dropped,
             error,
             ..
-        } = self;
-        // Channel faults are logged in delivery-visit order, which is an
-        // engine-internal detail (the lock-step engine walks its active
-        // set, the sharded driver merges per-shard logs). Sort them into
-        // the canonical (slot, node) order — unique per fault, since a
-        // listener records at most one Drop/Jam per slot — *before* the
-        // monitor's violations are mirrored in, so outcomes compare
-        // across execution strategies.
+        } = core;
+        // Channel faults are logged in delivery-visit order, an
+        // engine-internal detail. Sort them into the canonical
+        // (slot, node) order — unique per fault, since a listener records
+        // at most one Drop/Jam per slot — *before* the monitor's
+        // violations are mirrored in, so outcomes compare across
+        // execution strategies.
         faults.sort_by_key(|e| (e.slot(), e.node()));
         let violations = collect_violations::<P, M>(monitor, &mut faults, &mut faults_dropped);
         SimOutcome {
-            protocols,
-            stats,
+            protocols: nodes.protocols,
+            stats: nodes.stats,
             all_decided: completion.all_decided && error.is_none(),
             slots_run: completion.slots_run,
             error,

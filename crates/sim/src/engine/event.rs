@@ -10,12 +10,11 @@
 //! and per-slot draws distributionally equal, including after behavior
 //! changes, which simply re-draw).
 //!
-//! Since the [`SimDriver`] refactor this
-//! module only contains the slot-advance strategy ([`EventSkip`]); all
-//! protocol/channel/monitor threading lives in [`super::driver`].
+//! This module only contains the slot-advance strategy ([`EventSkip`]):
+//! the per-node hooks and the delivery step are the slot core's
+//! ([`super::slot`]), reached through [`SimDriver`].
 
 use super::driver::{Completion, Engine, SimDriver};
-use crate::delivery::DeliveryKernel;
 use crate::monitor::InvariantMonitor;
 use crate::protocol::{Behavior, RadioProtocol, Slot};
 use crate::rng::geometric_failures;
@@ -81,7 +80,8 @@ impl Engine for EventSkip {
             .enumerate()
             .map(|(v, &w)| Reverse((w, EventKind::Wake, v as NodeId, 0)))
             .collect();
-        let mut kernel = DeliveryKernel::new(n);
+        // Listeners whose behavior changed in a slot's delivery step.
+        let mut changed: Vec<NodeId> = Vec::new();
 
         let mut slots_run: Slot = 0;
         let mut all_decided = n == 0;
@@ -92,7 +92,7 @@ impl Engine for EventSkip {
                 break;
             }
             slots_run = slot;
-            kernel.begin_slot();
+            d.begin_slot();
 
             // Drain every event scheduled for this slot. The heap orders
             // by (slot, kind), so wake-ups run before deadlines before
@@ -127,8 +127,9 @@ impl Engine for EventSkip {
                             continue; // stale
                         }
                         debug_assert!(matches!(d.behavior(v), Some(Behavior::Transmit { .. })));
-                        d.broadcast(v, slot);
-                        kernel.transmit(d.graph(), v);
+                        if !d.transmit(v, slot) {
+                            break 'run;
+                        }
                         // Next transmission of the same segment.
                         if let Some(Behavior::Transmit { p, .. }) = d.behavior(v) {
                             let next = (slot + 1).saturating_add(geometric_failures(p, d.rng(v)));
@@ -138,40 +139,17 @@ impl Engine for EventSkip {
                 }
             }
 
-            // Deliveries (identical semantics to the lock-step engine):
-            // the kernel scattered per-listener counts as transmissions
-            // fired, and the channel model decides each touched
-            // listener's outcome. Channel draws are counter-based (pure
-            // in (listener, slot)), so skipping idle slots cannot
-            // perturb them — no per-slot fallback is needed even for
-            // non-trivial models; see `crate::channel`.
-            for &u in kernel.touched() {
-                if kernel.is_transmitter(u) {
-                    continue; // transmitting: cannot receive
-                }
-                if wake[u as usize] > slot {
-                    continue; // asleep
-                }
-                if let Some(w) = d.resolve(&kernel.contention(u, slot)) {
-                    // The kernel only reports transmitters, and every
-                    // transmitter parked its message in the air this
-                    // slot; a missing one would be an engine defect, so
-                    // skip the delivery rather than panic on the hot
-                    // path.
-                    let Some(msg) = d.air(w) else {
-                        debug_assert!(false, "transmitter {w} has no message");
-                        continue;
-                    };
-                    match d.deliver(u, slot, &msg) {
-                        Err(()) => break 'run,
-                        // New segment governs from slot + 1.
-                        Ok(true) => {
-                            gens[u as usize] += 1;
-                            schedule(&mut heap, d, &gens, u, slot + 1);
-                        }
-                        Ok(false) => {}
-                    }
-                }
+            // Deliveries: the slot core's delivery step, the same one
+            // the lock-step engine runs. Channel draws are counter-based
+            // (pure in (listener, slot)), so skipping idle slots cannot
+            // perturb them; see `crate::channel`.
+            if !d.deliver_slot(slot, &mut changed) {
+                break 'run;
+            }
+            // A new segment governs from slot + 1.
+            for u in changed.drain(..) {
+                gens[u as usize] += 1;
+                schedule(&mut heap, d, &gens, u, slot + 1);
             }
 
             if d.undecided() == 0 && woken == n {

@@ -23,10 +23,12 @@
 //! phases, experiment E16 measures the constant-factor slowdown the
 //! paper predicts.
 //!
-//! Since the [`SimDriver`] refactor this
-//! module only contains the slot-advance strategy ([`Jittered`]) and
-//! the [`random_phases`] helper; all protocol/channel/monitor threading
-//! lives in [`super::driver`].
+//! This module contains the slot-advance strategy ([`Jittered`]) and
+//! the [`random_phases`] helper. The per-node hooks are the slot
+//! core's ([`super::slot`]), reached through [`SimDriver`]; the
+//! delivery rule is its own, because a packet here is judged by the
+//! half-slot overlap window rather than by the aligned slot's
+//! transmitter count.
 
 use super::driver::{Completion, Engine, SimDriver};
 use crate::delivery::OverlapKernel;
@@ -159,7 +161,9 @@ impl Engine for Jittered {
                     break 'outer;
                 }
                 if d.bernoulli_tx(v) {
-                    let msg = d.compose(v, t);
+                    let Some(msg) = d.compose(v, t) else {
+                        break 'outer;
+                    };
                     tx_starts[vi] = [half as i64, tx_starts[vi][0]];
                     kernel.transmit(graph, v, half);
                     pending.push_back(Packet {

@@ -1,20 +1,20 @@
 //! The lock-step reference engine: every awake node is visited every
-//! slot; transmission decisions are independent Bernoulli draws — a
-//! direct transcription of the model in Sect. 2 of the paper.
+//! slot and transmission is one Bernoulli draw per slot — a direct
+//! transcription of the model in Sect. 2 of the paper.
 //!
-//! Since the [`SimDriver`] refactor this
-//! module only contains the slot-advance strategy ([`Lockstep`]); all
-//! protocol/channel/monitor threading lives in [`super::driver`].
+//! The slot rule itself lives in the slot core ([`super::slot`]):
+//! [`Lockstep`] runs its three phases at `k = 1` on the calling thread
+//! ([`SimDriver::step_slot`]), with the monitor called directly — no
+//! spawn, barrier or mailbox. The sharded driver runs the same phases
+//! per shard.
 
 use super::driver::{Completion, Engine, SimDriver};
-use crate::delivery::DeliveryKernel;
 use crate::monitor::InvariantMonitor;
 use crate::protocol::{RadioProtocol, Slot};
-use radio_graph::NodeId;
 
-/// The per-slot reference strategy: walk the active set every slot.
+/// The per-slot reference strategy: the slot core at `k = 1`.
 ///
-/// Maintains an active set with retirement compaction (decided,
+/// The core keeps an active set with retirement compaction (decided,
 /// permanently silent nodes are dropped from the per-slot loops and
 /// re-inserted if a reception gives them a new behavior segment).
 pub struct Lockstep;
@@ -26,108 +26,22 @@ impl Engine for Lockstep {
         d: &mut SimDriver<'_, P, M>,
         _aux: (),
     ) -> Completion {
-        let n = d.n();
-        let wake = d.wake();
-        // Nodes ordered by wake slot, consumed as the clock advances.
-        let mut wake_order: Vec<NodeId> = (0..n as NodeId).collect();
-        wake_order.sort_by_key(|&v| wake[v as usize]);
-        let mut next_wake = 0usize;
-        // Active set: awake nodes that still need per-slot attention.
-        // Retired nodes (see `SimDriver::retired`) are compacted out;
-        // `in_active` tracks membership so a reactivating receive can
-        // re-insert.
-        let mut active: Vec<NodeId> = Vec::with_capacity(n);
-        let mut in_active: Vec<bool> = vec![false; n];
-        let mut kernel = DeliveryKernel::new(n);
-
         let mut slots_run = 0;
-        let mut all_decided = n == 0;
+        let mut all_decided = false;
         let mut slot: Slot = 0;
-        'run: while slot <= d.max_slots() {
+        while slot <= d.max_slots() {
             slots_run = slot;
-
-            // 1. Wake-ups.
-            while next_wake < n && wake[wake_order[next_wake] as usize] == slot {
-                let v = wake_order[next_wake];
-                next_wake += 1;
-                active.push(v);
-                in_active[v as usize] = true;
-                if !d.wake_up(v, slot) {
-                    break 'run;
-                }
+            if !d.step_slot(slot) {
+                break;
             }
-
-            // 2. Deadlines.
-            for &v in &active {
-                if d.until(v) == Some(slot) && !d.fire_deadline(v, slot) {
-                    break 'run;
-                }
-            }
-
-            // 3. Transmission decisions: scatter each transmission to the
-            //    neighbors' delivery accumulators as it happens.
-            kernel.begin_slot();
-            for &v in &active {
-                if d.bernoulli_tx(v) {
-                    d.broadcast(v, slot);
-                    kernel.transmit(d.graph(), v);
-                }
-            }
-
-            // 4. Deliveries: the channel model decides each touched
-            //    listener's outcome from the kernel's per-listener counts
-            //    (under `Ideal` this is exactly "receive iff one neighbor
-            //    transmitted"). Sleeping nodes receive nothing; this is a
-            //    flat pass over the touched listeners — no neighborhood
-            //    re-scan.
-            for &u in kernel.touched() {
-                if kernel.is_transmitter(u) {
-                    continue; // transmitting itself: cannot receive
-                }
-                if wake[u as usize] > slot {
-                    continue; // still asleep
-                }
-                if let Some(w) = d.resolve(&kernel.contention(u, slot)) {
-                    // The kernel only reports transmitters, and every
-                    // transmitter parked its message in the air this slot;
-                    // a missing one would be an engine defect, so skip
-                    // the delivery rather than panic on the hot path.
-                    let Some(msg) = d.air(w) else {
-                        debug_assert!(false, "transmitter {w} has no message");
-                        continue;
-                    };
-                    match d.deliver(u, slot, &msg) {
-                        Err(()) => break 'run,
-                        // A retired node that picked up a new behavior
-                        // needs per-slot attention again.
-                        Ok(true) => {
-                            if !in_active[u as usize] {
-                                in_active[u as usize] = true;
-                                active.push(u);
-                            }
-                        }
-                        Ok(false) => {}
-                    }
-                }
-            }
-
-            // 5. Termination: everyone woke and decided.
-            if d.undecided() == 0 && next_wake == n {
+            // Termination: everyone woke and decided.
+            if d.all_done() {
                 all_decided = true;
                 break;
             }
-
-            // 6. Compaction: drop retired nodes from the active set. They
-            //    draw no randomness and never transmit, so removal cannot
-            //    change any outcome — it only shrinks the per-slot loops.
-            active.retain(|&v| {
-                let keep = !d.retired(v);
-                in_active[v as usize] = keep;
-                keep
-            });
+            d.compact();
             slot += 1;
         }
-
         Completion {
             all_decided,
             slots_run,

@@ -1,37 +1,40 @@
 //! Simulation engines.
 //!
-//! Two engines share identical semantics (see the ordering contract in
-//! [`crate::protocol`]):
+//! The paper's slot rule (Sect. 2) — wake-ups, then deadlines, then
+//! Bernoulli transmissions, then delivery iff exactly one neighbour
+//! transmits — is implemented once, in the slot core ([`slot`]): three
+//! phase functions over one shard's per-node state, delivery kernel
+//! and channel model. Its callers differ only in how they advance
+//! simulated time:
 //!
-//! * [`lockstep`] — the auditable reference: every awake node is stepped
-//!   every slot, transmission is one Bernoulli draw per slot.
+//! * [`lockstep`] — the auditable reference: the core's phases at
+//!   `k = 1` on the calling thread, every awake node stepped every
+//!   slot.
+//! * [`sharded`] — the same phases per shard of a spatial partition,
+//!   run concurrently between barriers with a deterministic boundary
+//!   exchange; bit-identical to lock-step (`tests/driver_identity.rs`).
 //! * [`event`] — the fast engine: transmissions are geometric skips,
 //!   deadlines and wake-ups are heap events, and work happens only at
-//!   slots where something is on the air. `O(events·log n)` instead of
-//!   `O(slots·n)`.
+//!   slots where something is on the air (`O(events·log n)` instead of
+//!   `O(slots·n)`). It calls the core's per-node hooks and delivery
+//!   step.
+//! * [`jittered`] — a model extension: non-aligned slots with half-slot
+//!   phase offsets (paper Sect. 2's remark). It shares the per-node
+//!   hooks but keeps its own overlap rule, and reduces exactly to the
+//!   lock-step engine when all phases agree.
 //!
-//! Experiment E14 and the integration tests cross-validate them. A
-//! third, model-extension engine lives in [`jittered`]: non-aligned
-//! slots with half-slot phase offsets (paper Sect. 2's remark), which
-//! reduces exactly to the lock-step engine when all phases agree.
-//!
-//! All three are *slot-advance strategies* ([`driver::Engine`]
-//! implementors) over the shared generic [`driver::SimDriver`], which
-//! owns every cross-cutting concern: channel model, invariant monitor,
-//! per-node stats, fault log and protocol-error handling. See the
-//! [`driver`] module docs for the hook stack.
-//!
-//! A fourth execution strategy, the slot-parallel driver in
-//! [`sharded`], partitions the node set spatially and steps the shards
-//! concurrently within each slot — same per-node semantics, verified
-//! bit-identical to the sequential driver in `tests/driver_identity.rs`
-//! and sized for million-node runs.
+//! Lock-step, event and jittered are *slot-advance strategies*
+//! ([`driver::Engine`] implementors) over [`driver::SimDriver`], which
+//! owns the run-level concerns: the monitor, the slot budget and the
+//! outcome epilogue. Experiment E14 and the integration tests
+//! cross-validate the engines.
 
 pub mod driver;
 pub mod event;
 pub mod jittered;
 pub mod lockstep;
 pub mod sharded;
+pub mod slot;
 
 use crate::channel::ChannelSpec;
 use crate::monitor::{sort_violations, InvariantMonitor, Violation};

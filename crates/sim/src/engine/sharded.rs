@@ -1,25 +1,25 @@
 //! The spatially-sharded slot-parallel driver: shards of the node set
-//! run concurrently within each slot, with a deterministic boundary
-//! exchange merging cross-shard transmissions — bit-identical to the
-//! sequential [`SimDriver`] running the
-//! [`Lockstep`] strategy.
+//! run the slot core ([`super::slot`]) concurrently within each slot,
+//! with a deterministic boundary exchange merging cross-shard
+//! transmissions — bit-identical to [`SimDriver`] running the
+//! [`Lockstep`] strategy, which is the same core at `k = 1`.
 //!
 //! # Execution model
 //!
 //! The node set is split by a [`Partition`] (spatial for UDG workloads,
-//! contiguous otherwise). Each shard owns struct-of-arrays state for
-//! its members — protocols, per-node RNG streams, a
-//! `BehaviorTable`, stats, a local [`ShardKernel`] — and one thread
-//! per shard steps the slot loop in lock-step, synchronized by a
-//! `SpinBarrier`. Per slot:
+//! contiguous otherwise). Each shard owns one [`SlotCore`] over its
+//! members (indexed by local index, its `View` mapping them to global
+//! ids), and one thread per shard steps the slot loop in lock-step,
+//! synchronized by a [`SpinBarrier`]. Per slot:
 //!
 //! ```text
-//!   phase A   wake-ups + deadlines (shard-local; no cross-node reads)
-//!   phase B   transmission draws; local scatter into the shard kernel,
-//!             boundary scatter into per-(src,dst) mailboxes
+//!   phase A   core.phase_wakes_deadlines (shard-local)
+//!   phase B   core.phase_tx: local scatter into the shard's kernel,
+//!             boundary scatter staged per destination shard, then
+//!             flushed into the (src, dst) mailboxes
 //!   --------- barrier: all transmissions visible ----------
-//!   phase C   mailbox merge (ascending source shard) + delivery sweep:
-//!             channel decides each touched local listener
+//!   phase C   mailbox merge (ascending source shard), then
+//!             core.phase_deliver over the touched local listeners
 //!   --------- barrier: evaluate global termination ----------
 //! ```
 //!
@@ -27,10 +27,10 @@
 //!
 //! * **RNG privacy.** Every random draw a node makes (`on_wake`,
 //!   `on_deadline`, Bernoulli transmission, `message`, `on_receive`)
-//!   comes from its private [`node_rng`] stream, and the draw sequence
-//!   is a function of the node's own event timeline only. Sharding
-//!   changes which thread performs a draw, never its position in the
-//!   node's stream.
+//!   comes from its private [`node_rng`](crate::rng::node_rng) stream,
+//!   and the draw sequence is a function of the node's own event
+//!   timeline only. Sharding changes which thread performs a draw,
+//!   never its position in the node's stream.
 //! * **Exact contention counts.** The per-listener transmitter counts a
 //!   shard accumulates (local adds + merged boundary adds) equal the
 //!   sequential kernel's counts — addition is commutative, and the
@@ -45,61 +45,56 @@
 //!   reports [`is_shardable`](crate::channel::ChannelSpec::is_shardable)
 //!   `= false` and the entry point falls back to the sequential driver.
 //! * **Canonical logs.** Channel faults are merged and sorted into the
-//!   same `(slot, node)` order the sequential driver now emits, and
-//!   monitor violations were already canonically sorted by the shared
-//!   epilogue.
+//!   same `(slot, node)` order the sequential driver emits, and
+//!   monitor violations are canonically sorted by the shared epilogue.
 //!
 //! # Monitor replay
 //!
 //! [`InvariantMonitor`]s are not required to be [`Send`], and the
 //! monitor contract only guarantees hook-order independence *within* a
 //! slot. The sharded driver therefore never calls the monitor from a
-//! worker: shards record their hook events per phase, and the main
-//! thread replays them (sorted by node id, phases in sequential order)
-//! between barrier pairs while the workers are parked. Unmonitored runs
-//! ([`InvariantMonitor::is_null`]) skip the replay windows entirely and
-//! run two barriers per slot instead of six.
+//! worker: each core's hooks go to its shard's `Recorder`, and the
+//! main thread replays them (sorted by node id, phases in sequential
+//! order) between barrier pairs while the workers are parked.
+//! Unmonitored runs ([`InvariantMonitor::is_null`]) record nothing,
+//! skip the replay windows and run two barriers per slot instead of
+//! six.
 //!
 //! # Divergence on protocol errors
 //!
 //! The sequential driver stops mid-slot at the first malformed
-//! behavior, in engine visit order. The sharded driver halts the
-//! erroring shard but lets the other shards finish the slot's phases,
-//! then stops; when several shards error in the same slot the smallest
+//! behavior, in visit order. The sharded driver halts the erroring
+//! shard but lets the other shards finish the slot's phases, then
+//! stops; when several shards error in the same slot the smallest
 //! `(slot, node)` error is reported. Stats of *error* runs can thus
 //! differ between the two drivers (`all_decided` is `false` and
 //! [`SimOutcome::error`] is `Some` either way); error-free runs — the
 //! only ones the identity pin exercises — are bit-identical.
 
-use super::driver::{BehaviorTable, SimDriver};
+use super::driver::SimDriver;
 use super::lockstep::Lockstep;
-use super::{
-    collect_violations, log_fault, ExecutedEngine, NodeStats, SimConfig, SimOutcome, MAX_FAULT_LOG,
-};
-use crate::channel::{BuiltinChannel, ChannelModel, Reception};
-use crate::delivery::ShardKernel;
+use super::slot::{coin_flip, Delivery, Placement, SlotCore};
+use super::{collect_violations, ExecutedEngine, NodeStats, SimConfig, SimOutcome, MAX_FAULT_LOG};
+use crate::channel::BuiltinChannel;
 use crate::monitor::InvariantMonitor;
-use crate::protocol::{BehaviorFault, ProtocolError, RadioProtocol, Slot};
-use crate::rng::node_rng;
+use crate::protocol::{ProtocolError, RadioProtocol, Slot};
 use crate::trace::Event;
 use parking_lot::Mutex;
-use radio_graph::bitset::BitSet;
 use radio_graph::{Graph, NodeId, Partition};
-use rand::rngs::SmallRng;
-use rand::Rng;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::MutexGuard;
 
-/// A reusable spinning barrier with a leader closure.
+/// A reusable spinning barrier with a leader closure, shared by the
+/// sharded engine and `colord`'s shard workers.
 ///
 /// `std::sync::Barrier` parks threads through the OS on every wait; at
-/// six waits per simulated slot that dominates the slot loop. This
-/// barrier spins briefly (the phases it separates are microseconds
-/// long) and then yields, so it stays correct — if slow — when shards
-/// outnumber cores. The closure passed to [`wait`](SpinBarrier::wait)
-/// runs exactly once per generation, on the last-arriving thread,
-/// strictly before any thread is released.
-struct SpinBarrier {
+/// up to six waits per simulated slot that dominates the slot loop.
+/// This barrier spins briefly (the phases it separates are
+/// microseconds long) and then yields, so it stays correct — if slow —
+/// when shards outnumber cores. The closure passed to
+/// [`wait`](SpinBarrier::wait) runs exactly once per generation, on
+/// the last-arriving thread, strictly before any thread is released.
+pub struct SpinBarrier {
     /// Threads arrived in the current generation.
     count: AtomicUsize,
     /// Generation counter; incremented by the leader to release waiters.
@@ -109,7 +104,8 @@ struct SpinBarrier {
 }
 
 impl SpinBarrier {
-    fn new(total: usize) -> Self {
+    /// A barrier for `total` participating threads.
+    pub fn new(total: usize) -> Self {
         SpinBarrier {
             count: AtomicUsize::new(0),
             gen: AtomicUsize::new(0),
@@ -125,7 +121,7 @@ impl SpinBarrier {
     /// `gen` (after running `leader`) is observed by the waiters'
     /// acquire-loads, so all phase-N writes happen-before any phase-N+1
     /// read.
-    fn wait(&self, leader: impl FnOnce()) {
+    pub fn wait(&self, leader: impl FnOnce()) {
         let g = self.gen.load(Ordering::Acquire);
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
             leader();
@@ -145,31 +141,22 @@ impl SpinBarrier {
     }
 }
 
-/// One boundary delivery: `(listener, sender, message)`, all ids global.
-type Delivery<P> = (NodeId, NodeId, <P as RadioProtocol>::Message);
-
-/// Cross-shard coordination state (all counters `Relaxed`: the barrier
-/// provides the ordering, see [`SpinBarrier::wait`]).
+/// Cross-shard termination flags, written only by the per-slot
+/// evaluation (`Relaxed`: the barrier provides the ordering, see
+/// [`SpinBarrier::wait`]).
 struct Shared {
-    /// Nodes that have not yet decided (starts at `n`).
-    undecided: AtomicUsize,
-    /// Nodes that have woken so far.
-    woken: AtomicUsize,
-    /// Set by the termination evaluation; all threads leave the slot
-    /// loop at the end of the slot in which it is raised.
+    /// All threads leave the slot loop at the end of the slot in which
+    /// it is raised.
     stop: AtomicBool,
     /// Every node woke and decided (pending the error veto).
     all_decided: AtomicBool,
-    /// A shard hit a protocol error and halted.
-    aborted: AtomicBool,
-    /// The canonical (smallest `(slot, node)`) protocol error.
-    error: Mutex<Option<ProtocolError>>,
 }
+
+/// One `(src, dst)` mailbox cell of boundary deliveries.
+type Mailbox<P> = Mutex<Vec<Delivery<<P as RadioProtocol>::Message>>>;
 
 /// Read-only per-run context shared by all shard threads.
 struct Ctx<'a, P: RadioProtocol> {
-    graph: &'a Graph,
-    wake: &'a [Slot],
     /// Global node id → owning shard.
     shard_of: &'a [u32],
     /// Global node id → index within its shard's arrays.
@@ -179,184 +166,114 @@ struct Ctx<'a, P: RadioProtocol> {
     /// `src` in phase B, drained by shard `dst` in phase C. Each cell
     /// has exactly one writer and one reader per slot, on opposite
     /// sides of a barrier.
-    mailbox: &'a [Vec<Mutex<Vec<Delivery<P>>>>],
-    /// Record hook events for the main thread's monitor replay.
-    record: bool,
+    mailbox: &'a [Vec<Mailbox<P>>],
 }
 
-/// Struct-of-arrays state for one shard, indexed by local node index
-/// (the position in `members`, which is sorted by global id).
-struct ShardState<P: RadioProtocol> {
-    /// This shard's index.
+impl<P: RadioProtocol> Ctx<'_, P> {
+    /// Shard `id`'s placement over its `members`.
+    fn view<'c>(&'c self, id: usize, members: &'c [NodeId]) -> View<'c> {
+        View {
+            id,
+            members,
+            shard_of: self.shard_of,
+            local_of: self.local_of,
+        }
+    }
+}
+
+/// Shard `id`'s [`Placement`]: its members (ascending global ids) are
+/// its local indices.
+struct View<'c> {
+    id: usize,
+    members: &'c [NodeId],
+    shard_of: &'c [u32],
+    local_of: &'c [u32],
+}
+
+impl Placement for View<'_> {
+    #[inline]
+    fn global(&self, l: u32) -> NodeId {
+        self.members[l as usize]
+    }
+
+    #[inline]
+    fn locate(&self, g: NodeId) -> Result<u32, usize> {
+        let s = self.shard_of[g as usize] as usize;
+        if s == self.id {
+            Ok(self.local_of[g as usize])
+        } else {
+            Err(s)
+        }
+    }
+}
+
+/// A shard's monitor stand-in: records the hooks its core fires for the
+/// main thread's replay. Disabled (records nothing) on unmonitored runs.
+struct Recorder<P: RadioProtocol> {
+    on: bool,
+    woken: Vec<NodeId>,
+    fired: Vec<NodeId>,
+    sent: Vec<NodeId>,
+    received: Vec<(NodeId, P::Message)>,
+    /// Nodes whose `on_decided` fired this phase (at most once each;
+    /// it belongs to the node's wake, deadline or receive hook).
+    decided: Vec<NodeId>,
+}
+
+impl<P: RadioProtocol> InvariantMonitor<P> for Recorder<P> {
+    fn after_wake(&mut self, node: NodeId, _slot: Slot, _proto: &P) {
+        if self.on {
+            self.woken.push(node);
+        }
+    }
+
+    fn after_deadline(&mut self, node: NodeId, _slot: Slot, _proto: &P) {
+        if self.on {
+            self.fired.push(node);
+        }
+    }
+
+    fn on_transmit(&mut self, node: NodeId, _slot: Slot, _msg: &P::Message, _proto: &P) {
+        if self.on {
+            self.sent.push(node);
+        }
+    }
+
+    fn after_receive(&mut self, node: NodeId, _slot: Slot, msg: &P::Message, _proto: &P) {
+        if self.on {
+            self.received.push((node, msg.clone()));
+        }
+    }
+
+    fn on_decided(&mut self, node: NodeId, _slot: Slot, _proto: &P) {
+        if self.on {
+            self.decided.push(node);
+        }
+    }
+}
+
+/// One shard: its members, its slot core and its hook recorder.
+struct Shard<'a, P: RadioProtocol> {
     id: usize,
     /// Global ids of owned nodes, ascending.
     members: Vec<NodeId>,
-    protocols: Vec<P>,
-    /// Private per-node streams, identical to the sequential driver's.
-    rngs: Vec<SmallRng>,
-    behaviors: BehaviorTable,
-    stats: Vec<NodeStats>,
-    decided: BitSet,
-    /// Full-size channel clone; only local listeners are ever decided.
-    channel: BuiltinChannel,
-    kernel: ShardKernel,
-    /// Message a local node parked on the air (valid for the current
-    /// slot iff the node transmitted; never cleared, like the
-    /// sequential driver's air).
-    air: Vec<Option<P::Message>>,
-    /// Message of the slot's first *remote* contributor per local
-    /// listener; only read when the slot's unique winner is remote, in
-    /// which case that sole contribution wrote it this slot.
-    pending: Vec<Option<P::Message>>,
-    /// Local indices stable-sorted by wake slot (ties: ascending id).
-    wake_order: Vec<u32>,
-    next_wake: usize,
-    /// Local indices needing per-slot attention (see `Lockstep`).
-    active: Vec<u32>,
-    in_active: Vec<bool>,
-    /// Per-destination-shard staging buffers, flushed once per slot.
-    outgoing: Vec<Vec<Delivery<P>>>,
-    faults: Vec<Event>,
-    faults_dropped: u64,
-    /// Replay records: `(global id, decided-now)` per hook class.
-    rec_woken: Vec<(NodeId, bool)>,
-    rec_fired: Vec<(NodeId, bool)>,
-    rec_sent: Vec<NodeId>,
-    rec_received: Vec<(NodeId, P::Message, bool)>,
-    /// A protocol error occurred here: skip all remaining phases (the
-    /// owning thread keeps hitting the barriers).
-    halted: bool,
+    core: SlotCore<'a, P, BuiltinChannel>,
+    rec: Recorder<P>,
 }
 
-impl<P: RadioProtocol> ShardState<P> {
-    /// Flips the local node's decided flag (once), mirroring
-    /// `SimDriver::note_decided`; returns `true` on the transition (the
-    /// replay fires `on_decided` then).
-    #[inline]
-    fn note_decided(&mut self, li: usize, slot: Slot, shared: &Shared) -> bool {
-        if !self.decided.contains(li) && self.protocols[li].is_decided() {
-            self.decided.insert(li);
-            self.stats[li].decided_at = Some(slot);
-            shared.undecided.fetch_sub(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Records a malformed behavior: keeps the smallest `(slot, node)`
-    /// error globally and halts this shard.
-    fn fail(&mut self, shared: &Shared, node: NodeId, slot: Slot, fault: BehaviorFault) {
-        let mut e = shared.error.lock();
-        let better = match &*e {
-            None => true,
-            Some(prev) => (slot, node) < (prev.slot, prev.node),
-        };
-        if better {
-            *e = Some(ProtocolError { node, slot, fault });
-        }
-        shared.aborted.store(true, Ordering::Relaxed);
-        self.halted = true;
-    }
-
-    /// Phase A: wake-ups due this slot (ascending global id), then
-    /// deadline firings over the active set — same per-node call
-    /// sequence as the sequential driver's phases 1–2.
+impl<P: RadioProtocol> Shard<'_, P> {
+    /// Phase A: the core's wake-ups and deadlines.
     fn phase_wakes_deadlines(&mut self, slot: Slot, ctx: &Ctx<'_, P>) {
-        if self.halted {
-            return;
-        }
-        while self.next_wake < self.members.len()
-            && ctx.wake[self.members[self.wake_order[self.next_wake] as usize] as usize] == slot
-        {
-            let l = self.wake_order[self.next_wake];
-            self.next_wake += 1;
-            let li = l as usize;
-            self.active.push(l);
-            self.in_active[li] = true;
-            ctx.shared.woken.fetch_add(1, Ordering::Relaxed);
-            let g = self.members[li];
-            let b = self.protocols[li].on_wake(slot, &mut self.rngs[li]);
-            if let Some(fault) = self.protocols[li].take_breach() {
-                self.fail(ctx.shared, g, slot, fault);
-                return;
-            }
-            if let Err(fault) = b.validate_at(slot) {
-                self.fail(ctx.shared, g, slot, fault);
-                return;
-            }
-            self.behaviors.set(l, b);
-            let newly = self.note_decided(li, slot, ctx.shared);
-            if ctx.record {
-                self.rec_woken.push((g, newly));
-            }
-        }
-        for idx in 0..self.active.len() {
-            let l = self.active[idx];
-            let li = l as usize;
-            if self.behaviors.until(l) != Some(slot) {
-                continue;
-            }
-            let g = self.members[li];
-            let b = self.protocols[li].on_deadline(slot, &mut self.rngs[li]);
-            if let Some(fault) = self.protocols[li].take_breach() {
-                self.fail(ctx.shared, g, slot, fault);
-                return;
-            }
-            if let Err(fault) = b.validate_at(slot) {
-                self.fail(ctx.shared, g, slot, fault);
-                return;
-            }
-            self.behaviors.set(l, b);
-            let newly = self.note_decided(li, slot, ctx.shared);
-            if ctx.record {
-                self.rec_fired.push((g, newly));
-            }
-        }
+        let view = ctx.view(self.id, &self.members);
+        self.core.phase_wakes_deadlines(slot, &view, &mut self.rec);
     }
 
-    /// Phase B: Bernoulli transmission draws; local transmissions
-    /// scatter into the shard kernel, boundary transmissions into the
-    /// staging buffers, flushed to the mailboxes at the end.
+    /// Phase B: the core's transmission draws and scatter, then the
+    /// boundary staging buffers flushed to the mailboxes.
     fn phase_tx(&mut self, slot: Slot, ctx: &Ctx<'_, P>) {
-        if self.halted {
-            return;
-        }
-        self.kernel.begin_slot();
-        for idx in 0..self.active.len() {
-            let l = self.active[idx];
-            let li = l as usize;
-            let Some(p) = self.behaviors.tx_p(l) else {
-                continue;
-            };
-            if !self.rngs[li].gen_bool(p) {
-                continue;
-            }
-            let g = self.members[li];
-            let msg = self.protocols[li].message(slot, &mut self.rngs[li]);
-            if let Some(fault) = self.protocols[li].take_breach() {
-                self.fail(ctx.shared, g, slot, fault);
-                return;
-            }
-            self.stats[li].sent += 1;
-            if ctx.record {
-                self.rec_sent.push(g);
-            }
-            self.kernel.mark_transmitter(l);
-            for &u in ctx.graph.neighbors(g) {
-                let us = ctx.shard_of[u as usize] as usize;
-                if us == self.id {
-                    self.kernel.add(ctx.local_of[u as usize], g);
-                } else if ctx.wake[u as usize] <= slot {
-                    // Sleeping remote listeners receive nothing and
-                    // record no collisions; skipping them sheds
-                    // boundary traffic without changing any outcome.
-                    self.outgoing[us].push((u, g, msg.clone()));
-                }
-            }
-            self.air[li] = Some(msg);
-        }
-        for (dst, q) in self.outgoing.iter_mut().enumerate() {
+        let view = ctx.view(self.id, &self.members);
+        self.core.phase_tx(slot, &view, coin_flip, &mut self.rec);
+        for (dst, q) in self.core.outgoing.iter_mut().enumerate() {
             if !q.is_empty() {
                 ctx.mailbox[self.id][dst].lock().append(q);
             }
@@ -364,117 +281,32 @@ impl<P: RadioProtocol> ShardState<P> {
     }
 
     /// Phase C: merge boundary deliveries (ascending source shard),
-    /// then let the channel decide every touched local listener — the
-    /// sequential driver's phase 4 restricted to this shard's members.
+    /// then the core's delivery step over this shard's listeners.
     fn phase_deliver(&mut self, slot: Slot, ctx: &Ctx<'_, P>) {
-        if self.halted {
+        if self.core.halted() {
             return;
         }
         for row in ctx.mailbox {
             let mut q = row[self.id].lock();
             for (u, t, msg) in q.drain(..) {
-                let lu = ctx.local_of[u as usize];
                 // Local contributions were added in phase B, so a
                 // first-contribution boundary add means the winner (if
                 // unique) is remote and this is its message.
-                if self.kernel.add(lu, t) {
-                    self.pending[lu as usize] = Some(msg);
-                }
+                self.core.accept(ctx.local_of[u as usize], t, msg);
             }
         }
-        let touched = self.kernel.touched().len();
-        for ti in 0..touched {
-            let lu = self.kernel.touched()[ti];
-            let li = lu as usize;
-            if self.kernel.is_transmitter(lu) {
-                continue; // transmitting itself: cannot receive
-            }
-            let g = self.members[li];
-            if ctx.wake[g as usize] > slot {
-                continue; // still asleep
-            }
-            let c = self.kernel.contention(g, lu, slot);
-            match self.channel.decide(&c) {
-                Reception::Deliver(w) => {
-                    let msg = if ctx.shard_of[w as usize] as usize == self.id {
-                        self.air[ctx.local_of[w as usize] as usize].clone()
-                    } else {
-                        self.pending[li].take()
-                    };
-                    let Some(msg) = msg else {
-                        debug_assert!(false, "winner {w} has no message at listener {g}");
-                        continue;
-                    };
-                    self.stats[li].received += 1;
-                    let nb = self.protocols[li].on_receive(slot, &msg, &mut self.rngs[li]);
-                    if let Some(fault) = self.protocols[li].take_breach() {
-                        self.fail(ctx.shared, g, slot, fault);
-                        return;
-                    }
-                    let mut changed = false;
-                    if let Some(nb) = nb {
-                        if let Err(fault) = nb.validate_at(slot) {
-                            self.fail(ctx.shared, g, slot, fault);
-                            return;
-                        }
-                        self.behaviors.set(lu, nb);
-                        changed = true;
-                    }
-                    let newly = self.note_decided(li, slot, ctx.shared);
-                    if changed && !self.in_active[li] {
-                        self.in_active[li] = true;
-                        self.active.push(lu);
-                    }
-                    if ctx.record {
-                        self.rec_received.push((g, msg, newly));
-                    }
-                }
-                Reception::Collide => self.stats[li].collisions += 1,
-                Reception::Drop => {
-                    self.stats[li].drops += 1;
-                    log_fault(
-                        &mut self.faults,
-                        &mut self.faults_dropped,
-                        Event::Drop { node: g, slot },
-                    );
-                }
-                Reception::Jam => {
-                    self.stats[li].jams += 1;
-                    log_fault(
-                        &mut self.faults,
-                        &mut self.faults_dropped,
-                        Event::Jam { node: g, slot },
-                    );
-                }
-            }
-        }
-    }
-
-    /// End-of-slot compaction: drop retired nodes from the active set
-    /// (decided, permanently silent — removal cannot change outcomes).
-    fn compact(&mut self) {
-        if self.halted {
-            return;
-        }
-        let behaviors = &self.behaviors;
-        let decided = &self.decided;
-        let in_active = &mut self.in_active;
-        self.active.retain(|&l| {
-            let keep = !(decided.contains(l as usize) && behaviors.silent_forever(l));
-            in_active[l as usize] = keep;
-            keep
-        });
+        let view = ctx.view(self.id, &self.members);
+        self.core.phase_deliver(slot, &view, &mut self.rec);
     }
 }
 
 /// Global termination evaluation, run once per slot strictly between
-/// the delivery barrier and the slot-end release.
-fn evaluate(shared: &Shared, n: usize) {
-    if shared.aborted.load(Ordering::Relaxed) {
+/// the delivery barrier and the slot-end release, with every shard
+/// locked.
+fn evaluate<P: RadioProtocol>(shards: &[MutexGuard<'_, Shard<'_, P>>], shared: &Shared) {
+    if shards.iter().any(|s| s.core.halted()) {
         shared.stop.store(true, Ordering::Relaxed);
-    } else if shared.undecided.load(Ordering::Relaxed) == 0
-        && shared.woken.load(Ordering::Relaxed) == n
-    {
+    } else if shards.iter().all(|s| s.core.done()) {
         shared.all_decided.store(true, Ordering::Relaxed);
         shared.stop.store(true, Ordering::Relaxed);
     }
@@ -489,11 +321,10 @@ fn worker_loop<P: RadioProtocol>(
     i: usize,
     max_slots: Slot,
     ctx: &Ctx<'_, P>,
-    cells: &[Mutex<ShardState<P>>],
+    cells: &[Mutex<Shard<'_, P>>],
     barrier: &SpinBarrier,
     monitored: bool,
 ) {
-    let n = ctx.wake.len();
     let mut slot: Slot = 0;
     while slot <= max_slots {
         {
@@ -515,60 +346,79 @@ fn worker_loop<P: RadioProtocol>(
         } else {
             barrier.wait(|| {});
             cells[i].lock().phase_deliver(slot, ctx);
-            barrier.wait(|| evaluate(ctx.shared, n));
+            barrier.wait(|| evaluate(&lock_all(cells), ctx.shared));
         }
         if ctx.shared.stop.load(Ordering::Relaxed) {
             break;
         }
-        cells[i].lock().compact();
+        cells[i].lock().core.compact();
         slot += 1;
     }
 }
 
-/// Locks every shard cell for a main-thread replay window. The workers
-/// are parked between two barriers while these guards are held, so the
-/// locks never contend.
-fn lock_all<'a, P: RadioProtocol>(
-    cells: &'a [Mutex<ShardState<P>>],
-) -> Vec<MutexGuard<'a, ShardState<P>>> {
+/// Locks every shard cell for a main-thread replay window or the
+/// termination evaluation. The workers are parked in a barrier while
+/// these guards are held, so the locks never contend.
+fn lock_all<'a, 'b, P: RadioProtocol>(
+    cells: &'a [Mutex<Shard<'b, P>>],
+) -> Vec<MutexGuard<'a, Shard<'b, P>>> {
     cells.iter().map(|c| c.lock()).collect()
+}
+
+/// Shard cell and local index of global node `g`.
+fn home<'g, 'a, P: RadioProtocol>(
+    guards: &'g [MutexGuard<'_, Shard<'a, P>>],
+    ctx: &Ctx<'_, P>,
+    g: NodeId,
+) -> (&'g Shard<'a, P>, usize) {
+    (
+        &guards[ctx.shard_of[g as usize] as usize],
+        ctx.local_of[g as usize] as usize,
+    )
+}
+
+/// Drains every shard's `on_decided` record for the phase, sorted.
+fn decided_in_phase<P: RadioProtocol>(guards: &mut [MutexGuard<'_, Shard<'_, P>>]) -> Vec<NodeId> {
+    let mut decided: Vec<NodeId> = Vec::new();
+    for s in guards.iter_mut() {
+        decided.append(&mut s.rec.decided);
+    }
+    decided.sort_unstable();
+    decided
 }
 
 /// Replays phase A hooks in the sequential driver's order: all
 /// wake-ups (ascending node id — exactly the sequential tie-break),
-/// then all deadline firings.
+/// then all deadline firings, each followed by `on_decided` if its
+/// decision flipped. (A node woken this slot cannot also meet a
+/// deadline in it: `validate_at` rejects `until <= now`.)
 fn replay_phase_a<P: RadioProtocol, M: InvariantMonitor<P>>(
     monitor: &mut M,
     slot: Slot,
-    guards: &mut [MutexGuard<'_, ShardState<P>>],
+    guards: &mut [MutexGuard<'_, Shard<'_, P>>],
     ctx: &Ctx<'_, P>,
 ) {
-    let mut woken: Vec<(NodeId, bool)> = Vec::new();
-    let mut fired: Vec<(NodeId, bool)> = Vec::new();
+    let mut woken: Vec<NodeId> = Vec::new();
+    let mut fired: Vec<NodeId> = Vec::new();
     for s in guards.iter_mut() {
-        woken.append(&mut s.rec_woken);
-        fired.append(&mut s.rec_fired);
+        woken.append(&mut s.rec.woken);
+        fired.append(&mut s.rec.fired);
     }
-    woken.sort_unstable_by_key(|&(g, _)| g);
-    fired.sort_unstable_by_key(|&(g, _)| g);
-    for (g, newly) in woken {
-        let (s, l) = (
-            ctx.shard_of[g as usize] as usize,
-            ctx.local_of[g as usize] as usize,
-        );
-        monitor.after_wake(g, slot, &guards[s].protocols[l]);
-        if newly {
-            monitor.on_decided(g, slot, &guards[s].protocols[l]);
+    woken.sort_unstable();
+    fired.sort_unstable();
+    let decided = decided_in_phase(guards);
+    for g in woken {
+        let (s, l) = home(guards, ctx, g);
+        monitor.after_wake(g, slot, &s.core.protocols()[l]);
+        if decided.binary_search(&g).is_ok() {
+            monitor.on_decided(g, slot, &s.core.protocols()[l]);
         }
     }
-    for (g, newly) in fired {
-        let (s, l) = (
-            ctx.shard_of[g as usize] as usize,
-            ctx.local_of[g as usize] as usize,
-        );
-        monitor.after_deadline(g, slot, &guards[s].protocols[l]);
-        if newly {
-            monitor.on_decided(g, slot, &guards[s].protocols[l]);
+    for g in fired {
+        let (s, l) = home(guards, ctx, g);
+        monitor.after_deadline(g, slot, &s.core.protocols()[l]);
+        if decided.binary_search(&g).is_ok() {
+            monitor.on_decided(g, slot, &s.core.protocols()[l]);
         }
     }
 }
@@ -577,25 +427,21 @@ fn replay_phase_a<P: RadioProtocol, M: InvariantMonitor<P>>(
 fn replay_phase_tx<P: RadioProtocol, M: InvariantMonitor<P>>(
     monitor: &mut M,
     slot: Slot,
-    guards: &mut [MutexGuard<'_, ShardState<P>>],
+    guards: &mut [MutexGuard<'_, Shard<'_, P>>],
     ctx: &Ctx<'_, P>,
 ) {
     let mut sent: Vec<NodeId> = Vec::new();
     for s in guards.iter_mut() {
-        sent.append(&mut s.rec_sent);
+        sent.append(&mut s.rec.sent);
     }
     sent.sort_unstable();
     for g in sent {
-        let (s, l) = (
-            ctx.shard_of[g as usize] as usize,
-            ctx.local_of[g as usize] as usize,
-        );
-        let cell = &guards[s];
-        let Some(msg) = cell.air[l].as_ref() else {
+        let (s, l) = home(guards, ctx, g);
+        let Some(msg) = s.core.nodes.air[l].as_ref() else {
             debug_assert!(false, "transmitter {g} has no message");
             continue;
         };
-        monitor.on_transmit(g, slot, msg, &cell.protocols[l]);
+        monitor.on_transmit(g, slot, msg, &s.core.protocols()[l]);
     }
 }
 
@@ -604,22 +450,20 @@ fn replay_phase_tx<P: RadioProtocol, M: InvariantMonitor<P>>(
 fn replay_phase_deliver<P: RadioProtocol, M: InvariantMonitor<P>>(
     monitor: &mut M,
     slot: Slot,
-    guards: &mut [MutexGuard<'_, ShardState<P>>],
+    guards: &mut [MutexGuard<'_, Shard<'_, P>>],
     ctx: &Ctx<'_, P>,
 ) {
-    let mut recv: Vec<(NodeId, P::Message, bool)> = Vec::new();
+    let mut recv: Vec<(NodeId, P::Message)> = Vec::new();
     for s in guards.iter_mut() {
-        recv.append(&mut s.rec_received);
+        recv.append(&mut s.rec.received);
     }
     recv.sort_by_key(|r| r.0);
-    for (g, msg, newly) in &recv {
-        let (s, l) = (
-            ctx.shard_of[*g as usize] as usize,
-            ctx.local_of[*g as usize] as usize,
-        );
-        monitor.after_receive(*g, slot, msg, &guards[s].protocols[l]);
-        if *newly {
-            monitor.on_decided(*g, slot, &guards[s].protocols[l]);
+    let decided = decided_in_phase(guards);
+    for (g, msg) in &recv {
+        let (s, l) = home(guards, ctx, *g);
+        monitor.after_receive(*g, slot, msg, &s.core.protocols()[l]);
+        if decided.binary_search(g).is_ok() {
+            monitor.on_decided(*g, slot, &s.core.protocols()[l]);
         }
     }
 }
@@ -676,9 +520,24 @@ where
         }
     }
 
+    let shared = Shared {
+        stop: AtomicBool::new(false),
+        all_decided: AtomicBool::new(false),
+    };
+    let mailbox: Vec<Vec<Mailbox<P>>> = (0..k)
+        .map(|_| (0..k).map(|_| Mutex::new(Vec::new())).collect())
+        .collect();
+    let ctx = Ctx {
+        shard_of: &partition.shard_of,
+        local_of: &local_of,
+        shared: &shared,
+        mailbox: &mailbox,
+    };
+
     // Distribute the protocols to their shards without cloning.
+    let monitored = !monitor.is_null();
     let mut pool: Vec<Option<P>> = protocols.into_iter().map(Some).collect();
-    let cells: Vec<Mutex<ShardState<P>>> = partition
+    let cells: Vec<Mutex<Shard<'_, P>>> = partition
         .members
         .iter()
         .enumerate()
@@ -692,64 +551,23 @@ where
                 members.len(),
                 "partition covers each node once"
             );
-            let m = members.len();
-            let mut wake_order: Vec<u32> = (0..m as u32).collect();
-            wake_order.sort_by_key(|&l| wake[members[l as usize] as usize]);
-            Mutex::new(ShardState {
+            let view = ctx.view(id, members);
+            let channel = cfg.channel.build(n, seed);
+            Mutex::new(Shard {
                 id,
                 members: members.clone(),
-                protocols: protos,
-                rngs: members.iter().map(|&g| node_rng(seed, g)).collect(),
-                behaviors: BehaviorTable::new(m),
-                stats: members
-                    .iter()
-                    .map(|&g| NodeStats {
-                        wake: wake[g as usize],
-                        ..NodeStats::default()
-                    })
-                    .collect(),
-                decided: BitSet::new(m),
-                channel: cfg.channel.build(n, seed),
-                kernel: ShardKernel::new(m),
-                air: std::iter::repeat_with(|| None).take(m).collect(),
-                pending: std::iter::repeat_with(|| None).take(m).collect(),
-                wake_order,
-                next_wake: 0,
-                active: Vec::with_capacity(m),
-                in_active: vec![false; m],
-                outgoing: (0..k).map(|_| Vec::new()).collect(),
-                faults: Vec::new(),
-                faults_dropped: 0,
-                rec_woken: Vec::new(),
-                rec_fired: Vec::new(),
-                rec_sent: Vec::new(),
-                rec_received: Vec::new(),
-                halted: false,
+                core: SlotCore::new(graph, wake, &view, protos, seed, channel).with_boundary(k),
+                rec: Recorder {
+                    on: monitored,
+                    woken: Vec::new(),
+                    fired: Vec::new(),
+                    sent: Vec::new(),
+                    received: Vec::new(),
+                    decided: Vec::new(),
+                },
             })
         })
         .collect();
-
-    let shared = Shared {
-        undecided: AtomicUsize::new(n),
-        woken: AtomicUsize::new(0),
-        stop: AtomicBool::new(false),
-        all_decided: AtomicBool::new(false),
-        aborted: AtomicBool::new(false),
-        error: Mutex::new(None),
-    };
-    let mailbox: Vec<Vec<Mutex<Vec<Delivery<P>>>>> = (0..k)
-        .map(|_| (0..k).map(|_| Mutex::new(Vec::new())).collect())
-        .collect();
-    let monitored = !monitor.is_null();
-    let ctx = Ctx {
-        graph,
-        wake,
-        shard_of: &partition.shard_of,
-        local_of: &local_of,
-        shared: &shared,
-        mailbox: &mailbox,
-        record: monitored,
-    };
     let barrier = SpinBarrier::new(k);
 
     let mut slots_run: Slot = 0;
@@ -772,49 +590,57 @@ where
             }
             if monitored {
                 barrier.wait(|| {});
-                {
-                    let mut guards = lock_all(&cells);
-                    replay_phase_a(monitor, slot, &mut guards, &ctx);
-                }
+                replay_phase_a(monitor, slot, &mut lock_all(&cells), &ctx);
                 barrier.wait(|| {});
                 cells[0].lock().phase_tx(slot, &ctx);
                 barrier.wait(|| {});
-                {
-                    let mut guards = lock_all(&cells);
-                    replay_phase_tx(monitor, slot, &mut guards, &ctx);
-                }
+                replay_phase_tx(monitor, slot, &mut lock_all(&cells), &ctx);
                 barrier.wait(|| {});
                 cells[0].lock().phase_deliver(slot, &ctx);
                 barrier.wait(|| {});
                 {
                     let mut guards = lock_all(&cells);
                     replay_phase_deliver(monitor, slot, &mut guards, &ctx);
-                    evaluate(&shared, n);
+                    evaluate(&guards, &shared);
                 }
                 barrier.wait(|| {});
             } else {
                 barrier.wait(|| {});
                 cells[0].lock().phase_deliver(slot, &ctx);
-                barrier.wait(|| evaluate(&shared, n));
+                barrier.wait(|| evaluate(&lock_all(&cells), &shared));
             }
             if shared.stop.load(Ordering::Relaxed) {
                 break;
             }
-            cells[0].lock().compact();
+            cells[0].lock().core.compact();
             slot += 1;
         }
     });
 
     // Merge the shards back into global node order and run the shared
-    // epilogue (canonical fault sort, violation collection).
+    // epilogue (canonical fault sort, violation collection). When
+    // several shards erred, the smallest `(slot, node)` error wins.
     let mut faults: Vec<Event> = Vec::new();
     let mut faults_dropped: u64 = 0;
+    let mut error: Option<ProtocolError> = None;
     let mut rows: Vec<(NodeId, P, NodeStats)> = Vec::with_capacity(n);
     for cell in cells {
-        let s = cell.into_inner();
-        faults_dropped += s.faults_dropped;
-        faults.extend(s.faults);
-        for ((g, p), st) in s.members.into_iter().zip(s.protocols).zip(s.stats) {
+        let Shard { members, core, .. } = cell.into_inner();
+        faults_dropped += core.faults_dropped;
+        faults.extend(core.faults);
+        if let Some(e) = core.error {
+            if error
+                .as_ref()
+                .is_none_or(|prev| (e.slot, e.node) < (prev.slot, prev.node))
+            {
+                error = Some(e);
+            }
+        }
+        for ((g, p), st) in members
+            .into_iter()
+            .zip(core.nodes.protocols)
+            .zip(core.nodes.stats)
+        {
             rows.push((g, p, st));
         }
     }
@@ -825,7 +651,6 @@ where
         faults.truncate(MAX_FAULT_LOG);
     }
     let violations = collect_violations::<P, M>(monitor, &mut faults, &mut faults_dropped);
-    let error = shared.error.into_inner();
     let (protocols, stats): (Vec<P>, Vec<NodeStats>) =
         rows.into_iter().map(|(_, p, st)| (p, st)).unzip();
     SimOutcome {
@@ -848,6 +673,7 @@ mod tests {
     use crate::monitor::{EngineOrderMonitor, NullMonitor};
     use crate::protocol::Behavior;
     use radio_graph::generators::gnp;
+    use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
     /// Exercises every phase: random-length transmit/silent segments

@@ -68,7 +68,7 @@ pub use engine::driver::{Completion, Engine, SimDriver};
 pub use engine::event::EventSkip;
 pub use engine::jittered::{random_phases, Jittered};
 pub use engine::lockstep::Lockstep;
-pub use engine::sharded::run_sharded;
+pub use engine::sharded::{run_sharded, SpinBarrier};
 pub use engine::{ExecutedEngine, NodeStats, SimConfig, SimOutcome, MAX_FAULT_LOG};
 pub use monitor::{
     sort_violations, EngineOrderMonitor, Fanout, InvariantMonitor, NullMonitor, Violation,
