@@ -12,9 +12,10 @@
 #   ./ci.sh --repro-corpus # only replay results/repros/ through the monitor
 #   ./ci.sh --model-check  # only run the radio-mc gate (writes MC.json)
 #   ./ci.sh --tsan         # only run the best-effort ThreadSanitizer leg
-#                          # over tests/driver_identity.rs (records a
-#                          # "tsan" field in BENCH_sim.json; skips with a
-#                          # notice when the nightly toolchain is absent)
+#                          # over tests/driver_identity.rs and colord's
+#                          # shard_equivalence test (records a "tsan"
+#                          # field in BENCH_sim.json; skips with a notice
+#                          # when the nightly toolchain is absent)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -72,17 +73,19 @@ record_tsan() {
     fi
 }
 
-# Best-effort ThreadSanitizer leg over the cross-engine identity suite
-# (tests/driver_identity.rs, in the root package) — the test that
-# drives the lockstep and sharded engines against each other, i.e. the
-# one whose threads TSan can actually race. It builds its 2/4/8-shard
-# partitions explicitly, so the sharded engine spawns workers on any
-# host. Needs a nightly toolchain with the rust-src component
+# Best-effort ThreadSanitizer leg over the two multi-threaded slot
+# loops: the cross-engine identity suite (tests/driver_identity.rs, in
+# the root package), which drives the lockstep and sharded engines
+# against each other, and colord's shard_equivalence test, which steps
+# 2/4/8 service shards (SpinBarrier, mailbox mutexes, shard locks)
+# against the single-shard oracle. Both build their shard counts
+# explicitly, so workers spawn on any host. Needs a nightly toolchain
+# with the rust-src component
 # (-Zbuild-std must rebuild std with the sanitizer); when one is
 # missing the leg records "skipped: <reason>" instead of failing, so
 # the default gate stays green on stable-only hosts.
 run_tsan() {
-    echo "==> ThreadSanitizer leg (driver_identity)"
+    echo "==> ThreadSanitizer leg (driver_identity, colord shard_equivalence)"
     local status host
     if ! cargo +nightly --version >/dev/null 2>&1; then
         status="skipped: nightly toolchain not installed"
@@ -93,7 +96,10 @@ run_tsan() {
         host="$(rustc -vV | sed -n 's/^host: //p')"
         if RUSTFLAGS="-Zsanitizer=thread" \
             cargo +nightly test -q -Zbuild-std --target "$host" \
-            -p unstructured-radio-coloring --test driver_identity; then
+            -p unstructured-radio-coloring --test driver_identity &&
+            RUSTFLAGS="-Zsanitizer=thread" \
+            cargo +nightly test -q -Zbuild-std --target "$host" \
+            -p colord --test shard_equivalence; then
             status="pass"
         else
             status="fail"

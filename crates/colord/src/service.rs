@@ -29,16 +29,14 @@
 //! [`ColoringNode`]: urn_coloring::ColoringNode
 
 use crate::router::Router;
-use crate::shard::{worker_loop, Frame, Shard, Shared, StepCtx};
+use crate::shard::{worker_loop, Frame, LiveNode, Shard, Shared, StepCtx};
 use radio_graph::NodeId;
 use radio_sim::SpinBarrier;
-use radio_transport::rng::node_rng;
 use radio_transport::Slot;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Mutex, RwLock};
 use urn_coloring::json::{self, Value};
-use urn_coloring::{ColoringNode, ProtoId};
 
 /// Static service parameters, fixed at startup.
 #[derive(Clone, Copy, Debug)]
@@ -381,20 +379,10 @@ impl Service {
         let (id, at) = router.admit(token, x, y);
         let params = router.params(&self.cfg);
         let wake = self.shared.slot.load(Ordering::Relaxed) + 1;
-        {
-            let mut shard = self.shards[at as usize].lock().expect("shard lock");
-            shard.nodes.insert(
-                id,
-                crate::shard::LiveNode {
-                    token,
-                    proto: ColoringNode::new(token as ProtoId, params),
-                    rng: node_rng(self.cfg.seed, token as u32),
-                    behavior: None,
-                    wake,
-                },
-            );
-            shard.undecided += 1;
-        }
+        self.shards[at as usize]
+            .lock()
+            .expect("shard lock")
+            .admit(id, LiveNode::new(token, params, self.cfg.seed, wake));
         self.tdma
             .lock()
             .expect("tdma lock")
@@ -410,7 +398,7 @@ impl Service {
         let decided;
         {
             let mut shard = self.shards[at as usize].lock().expect("shard lock");
-            let node = shard.nodes.remove(&id).expect("token maps to live node");
+            let node = shard.nodes.remove(id).expect("token maps to live node");
             debug_assert_eq!(node.token, token, "token table consistent");
             decided = node.proto.color().is_some();
             if !decided {
@@ -436,7 +424,7 @@ impl Service {
         let id = router.resolve(token)?;
         let at = router.shard_of(id) as usize;
         let shard = self.shards[at].lock().expect("shard lock");
-        let node = shard.nodes.get(&id).expect("live node");
+        let node = shard.nodes.get(id).expect("live node");
         self.shared.heartbeats.fetch_add(1, Ordering::Relaxed);
         Ok(Heartbeat {
             slot: self.shared.slot.load(Ordering::Relaxed),
@@ -464,16 +452,14 @@ impl Service {
             let was_decided;
             {
                 let mut shard = self.shards[at].lock().expect("shard lock");
-                let node = shard.nodes.get_mut(&id).expect("live node");
+                let node = shard.nodes.get_mut(id).expect("live node");
                 if node.proto.params().kappa2 >= kappa2 {
                     continue;
                 }
                 was_decided = node.proto.color().is_some();
                 let fresh = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
-                node.proto = ColoringNode::new(fresh as ProtoId, params);
-                node.rng = node_rng(self.cfg.seed, fresh as u32);
-                node.behavior = None;
-                node.wake = wake;
+                node.restart(fresh, params, self.cfg.seed, wake);
+                shard.watch(wake);
                 if was_decided {
                     shard.undecided += 1;
                 }
@@ -530,15 +516,18 @@ impl Service {
         }
         #[cfg(debug_assertions)]
         {
-            let mut undecided = 0usize;
+            let (mut undecided, mut live) = (0usize, 0usize);
             for cell in &self.shards {
-                undecided += cell.lock().expect("shard lock").undecided;
+                let shard = cell.lock().expect("shard lock");
+                undecided += shard.undecided;
+                live += shard.nodes.len();
             }
             debug_assert_eq!(
                 undecided,
                 self.shared.undecided.load(Ordering::Relaxed),
                 "per-shard undecided partitions the global count"
             );
+            debug_assert_eq!(live, router.len(), "node tables partition the membership");
         }
     }
 
@@ -766,6 +755,194 @@ mod tests {
         // are identical — the whole snapshot must match.
         assert_eq!(snap1, snap2);
         assert!(snap1.valid());
+    }
+
+    #[test]
+    fn extreme_join_positions_leave_the_service_usable() {
+        // Coordinates this large saturate the grid's cell index; the
+        // neighbor query must not overflow while the router lock is
+        // held, or every later request fails on the poisoned lock.
+        let svc = Service::new(cfg(12));
+        for x in [f64::MAX, -f64::MAX, 1e300, -1e300] {
+            svc.join(x, 0.0).unwrap();
+            svc.join(0.0, x).unwrap();
+        }
+        let t = svc.join(0.0, 0.0).unwrap();
+        settle(&svc, 2_000_000);
+        assert_eq!(svc.heartbeat(t).unwrap().color, Some(0));
+        let snap = svc.snapshot();
+        assert_eq!(snap.live, 9);
+        assert!(snap.valid());
+    }
+
+    /// Checks every shard's node table against the router and the
+    /// model (token → id): each live token heartbeats, resolves to the
+    /// node holding it, and the tables hold exactly the model's nodes.
+    fn check_tables(svc: &Service, model: &BTreeMap<u64, NodeId>) {
+        for &token in model.keys() {
+            assert!(svc.heartbeat(token).is_ok(), "token {token} is live");
+        }
+        let router = svc.router.read().unwrap();
+        for (&token, &id) in model {
+            assert_eq!(router.resolve(token), Ok(id));
+            let shard = svc.shards[router.shard_of(id) as usize].lock().unwrap();
+            assert_eq!(shard.nodes.get(id).map(|n| n.token), Some(token));
+        }
+        let mut held = 0;
+        for (at, cell) in svc.shards.iter().enumerate() {
+            let shard = cell.lock().unwrap();
+            for (id, node) in shard.nodes.iter() {
+                assert_eq!(
+                    model.get(&node.token),
+                    Some(&id),
+                    "shard {at} holds a stray node"
+                );
+                assert!(std::ptr::eq(shard.nodes.get(id).unwrap(), node));
+            }
+            held += shard.nodes.len();
+        }
+        assert_eq!(held, model.len());
+    }
+
+    #[test]
+    fn node_tables_match_a_model_under_id_reuse() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let svc = Service::new(ServiceConfig {
+            shards: 3,
+            stall_slots: 20,
+            ..cfg(15)
+        });
+        let mut rng = SmallRng::seed_from_u64(15);
+        let mut model: BTreeMap<u64, NodeId> = BTreeMap::new();
+        let mut dead = Vec::new();
+        let mut reused = 0;
+        let mut seen = std::collections::BTreeSet::new();
+        let mut admit = |svc: &Service, model: &mut BTreeMap<u64, NodeId>, x: f64, y: f64| {
+            let t = svc.join(x, y).unwrap();
+            let id = svc.router.read().unwrap().resolve(t).unwrap();
+            if !seen.insert(id) {
+                reused += 1;
+            }
+            model.insert(t, id);
+        };
+        let pick = |rng: &mut SmallRng, model: &BTreeMap<u64, NodeId>| {
+            *model.keys().nth(rng.gen_range(0..model.len())).unwrap()
+        };
+        for _ in 0..400 {
+            match rng.gen_range(0..10) {
+                0..=3 if model.len() < 60 => {
+                    admit(
+                        &svc,
+                        &mut model,
+                        rng.gen_range(0.0..6.0),
+                        rng.gen_range(0.0..3.0),
+                    );
+                }
+                4..=5 if !model.is_empty() => {
+                    let t = pick(&mut rng, &model);
+                    svc.leave(t).unwrap();
+                    model.remove(&t);
+                    dead.push(t);
+                }
+                6..=7 if !model.is_empty() => {
+                    // Rejoin: the freed id is the next one handed out.
+                    let t = pick(&mut rng, &model);
+                    let id = model.remove(&t).unwrap();
+                    svc.leave(t).unwrap();
+                    dead.push(t);
+                    admit(
+                        &svc,
+                        &mut model,
+                        rng.gen_range(0.0..6.0),
+                        rng.gen_range(0.0..3.0),
+                    );
+                    assert_eq!(model.values().filter(|&&v| v == id).count(), 1);
+                }
+                _ => svc.step(rng.gen_range(1..40)),
+            }
+            check_tables(&svc, &model);
+        }
+        for t in dead {
+            assert_eq!(svc.heartbeat(t), Err(ServiceError::UnknownToken));
+        }
+        assert!(reused > 50, "only {reused} ids were reused");
+        assert!(svc.snapshot().stats.resets > 0);
+    }
+
+    /// Steps one slot at a time until the watchdog fires; returns the
+    /// slot the reset was applied in and how many sessions it reset.
+    fn step_until_reset(svc: &Service) -> (Slot, u64) {
+        let before = svc.snapshot().stats.resets;
+        for _ in 0..1_000 {
+            let at = svc.slot();
+            svc.step(1);
+            let after = svc.snapshot().stats.resets;
+            if after > before {
+                return (at, after - before);
+            }
+        }
+        panic!("the watchdog never fired");
+    }
+
+    /// Settles with the watchdog off, then arms it and steps until a
+    /// full scan has found every shard decided (the floor at "never").
+    fn settled_with_watchdog(svc: &mut Service, stall_slots: u64) {
+        settle(svc, 2_000_000);
+        svc.cfg.stall_slots = stall_slots;
+        svc.step(2 * stall_slots);
+        for cell in &svc.shards {
+            assert_eq!(cell.lock().unwrap().stall_floor, Slot::MAX);
+        }
+        assert_eq!(svc.snapshot().stats.resets, 0);
+    }
+
+    #[test]
+    fn joiner_of_a_decided_shard_is_reset_on_time() {
+        // The joiner wakes at `joined + 1` and stalls once more than 50
+        // slots have passed since: the reset lands at `joined + 52`,
+        // as it did when the watchdog scanned every slot. Nothing else
+        // in the shard is undecided, so only the join and the reset
+        // themselves can put the node under the watchdog.
+        for shards in [1, 2] {
+            let mut svc = Service::new(ServiceConfig { shards, ..cfg(13) });
+            svc.join(0.0, 0.0).unwrap();
+            svc.join(0.5, 0.0).unwrap();
+            settled_with_watchdog(&mut svc, 50);
+            let joined = svc.slot();
+            svc.join(0.25, 0.4).unwrap();
+            assert_eq!(step_until_reset(&svc), (joined + 52, 1), "k={shards}");
+            // Re-admitted at `joined + 53`, it stalls again on schedule.
+            assert_eq!(step_until_reset(&svc), (joined + 104, 1), "k={shards}");
+        }
+    }
+
+    #[test]
+    fn reprovisioned_node_is_reset_on_time() {
+        // At k = 2 the settled pair sits alone in shard 0 (strip
+        // [0, 1)); the line joins shard 1 (strip [1, 2)) far away.
+        // Only the κ̂₂ re-admission puts the pair back under the
+        // watchdog, and it must fire for them on time too.
+        for shards in [1, 2] {
+            let mut svc = Service::new(ServiceConfig {
+                shards,
+                kappa2: None,
+                ..cfg(14)
+            });
+            svc.join(0.0, 0.0).unwrap();
+            svc.join(0.5, 0.0).unwrap();
+            settled_with_watchdog(&mut svc, 50);
+            let joined = svc.slot();
+            // A line at 0.75 spacing: 2-hop balls hold 3 independent
+            // nodes, past the pair's κ̂₂ = 2.
+            for i in 0..5 {
+                svc.join(1.5, 20.0 + f64::from(i) * 0.75).unwrap();
+            }
+            assert_eq!(step_until_reset(&svc), (joined + 52, 7), "k={shards}");
+            let snap = svc.snapshot();
+            assert_eq!(snap.stats.reprovisions, 7, "k={shards}");
+            assert!(snap.kappa2_est > 2);
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! 1. **detect** — scan for watchdog-stalled sessions (read-only);
 //!    the barrier leader then issues their fresh protocol tokens in
 //!    ascending node order, exactly the sequence a single ascending
-//!    scan would produce.
+//!    scan would produce. The scan runs only when a stall is due: each
+//!    shard keeps a floor under the wake slot of its undecided nodes,
+//!    and no node can stall while `now − floor ≤ stall_slots`.
 //! 2. **transmit** — apply resets, run wake-ups/deadlines, draw
 //!    transmissions, and scatter contention counts: local listeners
 //!    are counted in place, boundary-crossing frames are staged per
@@ -22,13 +24,22 @@
 //!    staged, and the barrier leader commits them to the TDMA schedule
 //!    in ascending node order before advancing the shared slot clock.
 //!
-//! Because the channel rule only ever *counts* transmitting neighbors —
-//! and reads the frame only when the count is exactly one — the scatter
-//! is commutative, so the phase split computes the same deliveries as
-//! the monolithic ascending scan. Everything order-sensitive (token
-//! issue, TDMA commit) runs serially in a leader closure, sorted by
-//! global node id. That is the whole bit-identity argument: a k-shard
-//! run is the single-shard run with the loop body re-bracketed.
+//! The FSMs live in a packed node table ([`NodeTable`]): a dense vector
+//! in local-index order plus a global-id → local-index array, so every
+//! lookup is O(1) and the phases sweep contiguous memory. Sweep order
+//! never changes an outcome:
+//!
+//! - every random draw comes from the node's own `node_rng` stream, so
+//!   no node's draws depend on when its peers are visited;
+//! - the channel rule only ever *counts* transmitting neighbors, and
+//!   reads the frame only when the count is exactly one, so the
+//!   scatter commutes;
+//! - everything order-sensitive (reset-token issue, TDMA commit) runs
+//!   serially in a leader closure that sorts by global node id first.
+//!
+//! The same argument is why a k-shard run is bit-identical to the
+//! single-shard run: the loop body is re-bracketed, never reordered in
+//! any way an outcome can see.
 
 use crate::router::Router;
 use crate::service::TdmaState;
@@ -38,7 +49,6 @@ use radio_transport::rng::node_rng;
 use radio_transport::{Behavior, RadioProtocol, Slot};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use urn_coloring::{AlgorithmParams, ColoringMsg, ColoringNode, ProtoId};
@@ -82,6 +92,108 @@ pub(crate) struct LiveNode {
     pub(crate) wake: Slot,
 }
 
+impl LiveNode {
+    /// A fresh FSM for session `token`, asleep until `wake`; its
+    /// protocol ID and RNG stream both derive from the token.
+    pub(crate) fn new(token: u64, params: AlgorithmParams, seed: u64, wake: Slot) -> LiveNode {
+        LiveNode {
+            token,
+            proto: ColoringNode::new(token as ProtoId, params),
+            rng: node_rng(seed, token as u32),
+            behavior: None,
+            wake,
+        }
+    }
+
+    /// Re-admits the node as a brand-new protocol node under the fresh
+    /// protocol token `fresh`, keeping its session token.
+    pub(crate) fn restart(&mut self, fresh: u64, params: AlgorithmParams, seed: u64, wake: Slot) {
+        *self = LiveNode {
+            token: self.token,
+            ..LiveNode::new(fresh, params, seed, wake)
+        };
+    }
+}
+
+/// [`NodeTable::local`] entry for an id this shard does not own.
+const ABSENT: u32 = u32::MAX;
+
+/// A shard's live nodes, packed: the FSMs sit in a dense vector in
+/// local-index order, with a parallel vector of their global ids and an
+/// array from global id to local index. Lookups are O(1) and sweeps
+/// walk contiguous memory. Local order is arbitrary — `remove`
+/// swap-removes — which is safe because no outcome depends on sweep
+/// order (see the module docs).
+#[derive(Default)]
+pub(crate) struct NodeTable {
+    /// Live nodes in local-index order.
+    nodes: Vec<LiveNode>,
+    /// Global id of each packed node, parallel to `nodes`.
+    ids: Vec<NodeId>,
+    /// Global id → local index, or [`ABSENT`].
+    local: Vec<u32>,
+}
+
+impl NodeTable {
+    /// Live nodes in this shard.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Appends node `id`.
+    ///
+    /// # Panics
+    /// Panics if `id` is already in the table.
+    fn insert(&mut self, id: NodeId, node: LiveNode) {
+        let gi = id as usize;
+        if gi >= self.local.len() {
+            self.local.resize(gi + 1, ABSENT);
+        }
+        assert_eq!(self.local[gi], ABSENT, "node {id} is already live");
+        self.local[gi] = self.nodes.len() as u32;
+        self.nodes.push(node);
+        self.ids.push(id);
+    }
+
+    /// Removes node `id` by swap-remove, re-indexing the node that
+    /// moves into its place.
+    pub(crate) fn remove(&mut self, id: NodeId) -> Option<LiveNode> {
+        let at = self.index(id)?;
+        self.local[id as usize] = ABSENT;
+        let node = self.nodes.swap_remove(at);
+        self.ids.swap_remove(at);
+        if let Some(&moved) = self.ids.get(at) {
+            self.local[moved as usize] = at as u32;
+        }
+        Some(node)
+    }
+
+    fn index(&self, id: NodeId) -> Option<usize> {
+        match self.local.get(id as usize) {
+            Some(&at) if at != ABSENT => Some(at as usize),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn get(&self, id: NodeId) -> Option<&LiveNode> {
+        self.index(id).map(|at| &self.nodes[at])
+    }
+
+    pub(crate) fn get_mut(&mut self, id: NodeId) -> Option<&mut LiveNode> {
+        self.index(id).map(|at| &mut self.nodes[at])
+    }
+
+    /// Every node with its global id, in local-index order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, &LiveNode)> {
+        self.ids.iter().copied().zip(self.nodes.iter())
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut LiveNode)> {
+        self.ids.iter().copied().zip(self.nodes.iter_mut())
+    }
+}
+
 /// Per-shard slot counters, summed into [`crate::ServiceStats`] at
 /// snapshot time.
 #[derive(Clone, Copy, Debug, Default)]
@@ -113,12 +225,19 @@ pub(crate) struct StepCtx<'a> {
 
 /// One strip of the service: the FSMs it owns plus slot scratch.
 pub(crate) struct Shard {
-    /// Live nodes keyed by global node id — ascending iteration keeps
-    /// the slot loop deterministic.
-    pub(crate) nodes: BTreeMap<NodeId, LiveNode>,
+    /// Live nodes, packed for O(1) lookup and contiguous sweeps. Sweep
+    /// order is unobservable: draws are per-node streams, contention
+    /// counts commute, and the leader closures sort by global id.
+    pub(crate) nodes: NodeTable,
     /// Undecided nodes in this shard (a partition of
     /// [`Shared::undecided`]; reported per shard in the snapshot).
     pub(crate) undecided: usize,
+    /// Watchdog floor: no undecided node in this shard woke before this
+    /// slot (`Slot::MAX` when none can stall). Admissions and resets
+    /// lower it; a full detect scan recomputes it. Until `now` is more
+    /// than `stall_slots` past it, no node can stall and the detect
+    /// phase skips its scan.
+    pub(crate) stall_floor: Slot,
     pub(crate) stats: ShardStats,
     // Per-slot scratch, reused across slots; indexed by global node id.
     /// Transmitting-neighbor count per local listener this slot.
@@ -147,8 +266,9 @@ pub(crate) struct Shard {
 impl Shard {
     pub(crate) fn new(shards: usize) -> Shard {
         Shard {
-            nodes: BTreeMap::new(),
+            nodes: NodeTable::default(),
             undecided: 0,
+            stall_floor: Slot::MAX,
             stats: ShardStats::default(),
             counts: Vec::new(),
             winner: Vec::new(),
@@ -162,6 +282,19 @@ impl Shard {
         }
     }
 
+    /// Admits a fresh (undecided) node.
+    pub(crate) fn admit(&mut self, id: NodeId, node: LiveNode) {
+        self.watch(node.wake);
+        self.nodes.insert(id, node);
+        self.undecided += 1;
+    }
+
+    /// Puts an undecided node that wakes at `wake` under the stall
+    /// watchdog.
+    pub(crate) fn watch(&mut self, wake: Slot) {
+        self.stall_floor = self.stall_floor.min(wake);
+    }
+
     /// Grows the id-indexed scratch to the router's current capacity.
     /// Called once per `step` batch, before the workers start; capacity
     /// cannot change while the router's read lock is held.
@@ -171,19 +304,31 @@ impl Shard {
         self.tx_of.resize(cap, u32::MAX);
     }
 
-    /// Phase 1: the stall watchdog scan (read-only). Stalled ids are
-    /// staged; their fresh tokens are issued by the barrier leader
-    /// ([`assign_reset_tokens`]) so the issue order is shard-count
-    /// independent.
+    /// Phase 1: the stall watchdog scan (read-only on the nodes).
+    /// Stalled ids are staged; their fresh tokens are issued by the
+    /// barrier leader ([`assign_reset_tokens`]) so the issue order is
+    /// shard-count independent. The scan runs only once a stall is due
+    /// by the shard's floor, and recomputes the floor from the nodes
+    /// that did not stall (the stalled ones re-enter it on reset).
     pub(crate) fn phase_detect(&mut self, now: Slot, ctx: &StepCtx<'_>) {
-        if ctx.stall_slots == 0 {
+        if ctx.stall_slots == 0 || now.saturating_sub(self.stall_floor) <= ctx.stall_slots {
             return;
         }
-        let Shard { nodes, stalled, .. } = self;
-        for (&id, node) in nodes.iter() {
-            if node.proto.color().is_none() && now >= node.wake && now - node.wake > ctx.stall_slots
-            {
+        let Shard {
+            nodes,
+            stalled,
+            stall_floor,
+            ..
+        } = self;
+        *stall_floor = Slot::MAX;
+        for (id, node) in nodes.iter() {
+            if node.proto.color().is_some() {
+                continue;
+            }
+            if now >= node.wake && now - node.wake > ctx.stall_slots {
                 stalled.push(id);
+            } else {
+                *stall_floor = (*stall_floor).min(node.wake);
             }
         }
     }
@@ -203,6 +348,7 @@ impl Shard {
             outgoing,
             resets,
             events,
+            stall_floor,
             ..
         } = self;
 
@@ -213,15 +359,13 @@ impl Shard {
         // Same session token; fresh protocol ID and RNG stream, so to
         // its neighbors it is simply a late joiner.
         for (id, fresh) in resets.drain(..) {
-            let node = nodes.get_mut(&id).expect("stalled node is live");
-            node.proto = ColoringNode::new(fresh as ProtoId, ctx.params);
-            node.rng = node_rng(ctx.seed, fresh as u32);
-            node.behavior = None;
-            node.wake = now + 1;
+            let node = nodes.get_mut(id).expect("stalled node is live");
+            node.restart(fresh, ctx.params, ctx.seed, now + 1);
+            *stall_floor = (*stall_floor).min(now + 1);
             stats.resets += 1;
         }
 
-        for (&id, node) in nodes.iter_mut() {
+        for (id, node) in nodes.iter_mut() {
             let was_decided = node.proto.color().is_some();
             if now >= node.wake && node.behavior.is_none() {
                 let b = node.proto.on_wake(now, &mut node.rng);
@@ -338,7 +482,7 @@ impl Shard {
             if tx_of[wi] != u32::MAX {
                 continue; // transmitters never receive
             }
-            let node = nodes.get_mut(&w).expect("listener is live");
+            let node = nodes.get_mut(w).expect("listener is live");
             if now < node.wake {
                 continue; // still asleep
             }

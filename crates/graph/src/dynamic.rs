@@ -144,7 +144,12 @@ impl DynamicUdg {
         let mut out = Vec::new();
         for dx in -1..=1i64 {
             for dy in -1..=1i64 {
-                if let Some(bucket) = self.cells.get(&(cx + dx, cy + dy)) {
+                // A coordinate near ±f64::MAX saturates its cell index
+                // to i64::MIN/MAX; the cells beyond it do not exist.
+                let (Some(x), Some(y)) = (cx.checked_add(dx), cy.checked_add(dy)) else {
+                    continue;
+                };
+                if let Some(bucket) = self.cells.get(&(x, y)) {
                     for &w in bucket {
                         let q = self.points[w as usize].expect("bucket holds live nodes");
                         if q.dist2(&p) <= r2 {
@@ -277,5 +282,26 @@ mod tests {
             u.insert(v, Point2::new(9.0, -9.0));
         }
         assert_eq!(u.neighbors(2), vec![0, 1, 3]);
+    }
+
+    #[test]
+    fn extreme_coordinates_query_without_overflow() {
+        // Cell indices saturate at i64::MIN/MAX here; the 3×3 query
+        // must skip the cells past the edge, not wrap or revisit one.
+        let mut u = DynamicUdg::new(1.0);
+        let far = [f64::MAX, -f64::MAX, 1e300, -1e300];
+        let mut v = 0u32;
+        for &x in &far {
+            for &y in &far {
+                u.insert(v, Point2::new(x, y));
+                u.insert(v + 1, Point2::new(x, y));
+                assert_eq!(u.neighbors(v), vec![v + 1]);
+                assert_eq!(u.neighbors_of_point(Point2::new(x, y)), vec![v, v + 1]);
+                v += 2;
+            }
+        }
+        u.insert(v, Point2::new(0.0, 0.0));
+        assert!(u.neighbors(v).is_empty());
+        assert_eq!(u.snapshot().1.len(), v as usize + 1);
     }
 }
