@@ -25,6 +25,8 @@
 //!   boundary frames exchanged through per-pair mailboxes (mirroring
 //!   the sharded sim engine). Single- and k-shard runs of the same
 //!   session schedule settle to bit-identical colorings.
+//! * `crew` (internal) — the worker threads that step shards 1..k,
+//!   started once per service and parked between batches.
 //! * [`wire`] — the framed request/response vocabulary
 //!   ([`radio_transport::WireMessage`] codecs) plus a small blocking
 //!   client.
@@ -35,6 +37,7 @@
 //!
 //! [`ColoringNode`]: urn_coloring::ColoringNode
 
+mod crew;
 mod router;
 pub mod server;
 pub mod service;

@@ -28,14 +28,15 @@
 //!
 //! [`ColoringNode`]: urn_coloring::ColoringNode
 
+use crate::crew::{Crew, Job};
 use crate::router::Router;
-use crate::shard::{worker_loop, Frame, LiveNode, Shard, Shared, StepCtx};
+use crate::shard::{worker_loop, Frame, LiveNode, Shard, Shared};
 use radio_graph::NodeId;
 use radio_sim::SpinBarrier;
 use radio_transport::Slot;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockWriteGuard};
 use urn_coloring::json::{self, Value};
 
 /// Static service parameters, fixed at startup.
@@ -309,18 +310,43 @@ impl TdmaState {
 /// The service: live membership, one FSM per node, a slot clock.
 pub struct Service {
     cfg: ServiceConfig,
+    core: Arc<Core>,
+    /// Worker threads for shards 1..k, started by the first `step` of a
+    /// multi-shard service and kept until it drops.
+    crew: OnceLock<Crew>,
+}
+
+/// Everything the slot loop's threads share; the crew's workers hold
+/// it by `Arc`.
+pub(crate) struct Core {
     /// Placement, topology, tokens, κ̂₂. Read-locked by heartbeats and
     /// the whole slot loop; write-locked by join/leave/reprovision.
-    router: RwLock<Router>,
+    pub(crate) router: RwLock<Router>,
+    /// Taken by every router writer before `router.write()`, and by
+    /// `step` until each shard thread holds its router read lock, so no
+    /// writer can queue between those read locks (see [`crate::crew`]).
+    pub(crate) gate: Mutex<()>,
     /// The per-strip FSM engines; `shards[router.shard_of(v)]` owns
     /// node `v`.
-    shards: Vec<Mutex<Shard>>,
+    pub(crate) shards: Vec<Mutex<Shard>>,
     /// Incrementally patched TDMA schedule (colors, conflicts, frame).
-    tdma: Mutex<TdmaState>,
+    pub(crate) tdma: Mutex<TdmaState>,
     /// Atomic cross-shard state (slot clock, undecided, token counter).
-    shared: Shared,
+    pub(crate) shared: Shared,
     /// `mailbox[src][dst]`: boundary frames in flight between shards.
-    mailbox: Vec<Vec<Mutex<Vec<Frame>>>>,
+    pub(crate) mailbox: Vec<Vec<Mutex<Vec<Frame>>>>,
+    /// The slot loop's barrier, one seat per shard.
+    pub(crate) barrier: SpinBarrier,
+    /// Held for a whole `step`: one batch at a time owns the crew.
+    stepping: Mutex<()>,
+}
+
+impl Core {
+    /// The router, write-locked behind the gate.
+    fn write_router(&self) -> (MutexGuard<'_, ()>, RwLockWriteGuard<'_, Router>) {
+        let gate = self.gate.lock().expect("gate lock");
+        (gate, self.router.write().expect("router lock"))
+    }
 }
 
 impl Service {
@@ -335,24 +361,31 @@ impl Service {
             }
             mailbox.push(lane);
         }
-        Service {
+        let core = Core {
             router: RwLock::new(Router::new(&cfg)),
+            gate: Mutex::new(()),
             shards: (0..k).map(|_| Mutex::new(Shard::new(k))).collect(),
             tdma: Mutex::new(TdmaState::new()),
             shared: Shared::new(),
             mailbox,
+            barrier: SpinBarrier::new(k),
+            stepping: Mutex::new(()),
+        };
+        Service {
             cfg,
+            core: Arc::new(core),
+            crew: OnceLock::new(),
         }
     }
 
     /// The current slot clock.
     pub fn slot(&self) -> Slot {
-        self.shared.slot.load(Ordering::Relaxed)
+        self.core.shared.slot.load(Ordering::Relaxed)
     }
 
     /// How many shards this service steps in parallel.
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.core.shards.len()
     }
 
     /// `true` when stepping the clock cannot change anything: no node
@@ -360,7 +393,7 @@ impl Service {
     /// matter to undecided listeners). The server parks its ticker on
     /// this.
     pub fn idle(&self) -> bool {
-        self.shared.undecided.load(Ordering::Relaxed) == 0
+        self.core.shared.undecided.load(Ordering::Relaxed) == 0
     }
 
     /// Admits a node at position `(x, y)`; it wakes at the next slot.
@@ -369,35 +402,36 @@ impl Service {
         if !(x.is_finite() && y.is_finite()) {
             return Err(ServiceError::BadPosition);
         }
-        let mut router = self.router.write().expect("router lock");
+        let (_gate, mut router) = self.core.write_router();
         if router.len() >= self.cfg.max_live {
             return Err(ServiceError::Full);
         }
         // The token is unique per join, so a reused id gets a fresh,
         // never-reused RNG stream — exactly like a new simulated node.
-        let token = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
+        let token = self.core.shared.next_token.fetch_add(1, Ordering::Relaxed);
         let (id, at) = router.admit(token, x, y);
         let params = router.params(&self.cfg);
-        let wake = self.shared.slot.load(Ordering::Relaxed) + 1;
-        self.shards[at as usize]
+        let wake = self.core.shared.slot.load(Ordering::Relaxed) + 1;
+        self.core.shards[at as usize]
             .lock()
             .expect("shard lock")
             .admit(id, LiveNode::new(token, params, self.cfg.seed, wake));
-        self.tdma
+        self.core
+            .tdma
             .lock()
             .expect("tdma lock")
             .ensure(router.capacity());
-        self.shared.undecided.fetch_add(1, Ordering::Relaxed);
+        self.core.shared.undecided.fetch_add(1, Ordering::Relaxed);
         Ok(token)
     }
 
     /// Removes the session's node from the membership.
     pub fn leave(&self, token: u64) -> Result<(), ServiceError> {
-        let mut router = self.router.write().expect("router lock");
+        let (_gate, mut router) = self.core.write_router();
         let (id, at, old_nbrs) = router.evict(token)?;
         let decided;
         {
-            let mut shard = self.shards[at as usize].lock().expect("shard lock");
+            let mut shard = self.core.shards[at as usize].lock().expect("shard lock");
             let node = shard.nodes.remove(id).expect("token maps to live node");
             debug_assert_eq!(node.token, token, "token table consistent");
             decided = node.proto.color().is_some();
@@ -408,9 +442,13 @@ impl Service {
         if decided {
             // Reverse-patch the schedule with the adjacency the node
             // had while live (the router already forgot it).
-            self.tdma.lock().expect("tdma lock").retire(id, &old_nbrs);
+            self.core
+                .tdma
+                .lock()
+                .expect("tdma lock")
+                .retire(id, &old_nbrs);
         } else {
-            self.shared.undecided.fetch_sub(1, Ordering::Relaxed);
+            self.core.shared.undecided.fetch_sub(1, Ordering::Relaxed);
         }
         drop(router);
         Ok(())
@@ -420,14 +458,14 @@ impl Service {
     /// and one shard mutex — heartbeats from different strips never
     /// serialize on each other.
     pub fn heartbeat(&self, token: u64) -> Result<Heartbeat, ServiceError> {
-        let router = self.router.read().expect("router lock");
+        let router = self.core.router.read().expect("router lock");
         let id = router.resolve(token)?;
         let at = router.shard_of(id) as usize;
-        let shard = self.shards[at].lock().expect("shard lock");
+        let shard = self.core.shards[at].lock().expect("shard lock");
         let node = shard.nodes.get(id).expect("live node");
-        self.shared.heartbeats.fetch_add(1, Ordering::Relaxed);
+        self.core.shared.heartbeats.fetch_add(1, Ordering::Relaxed);
         Ok(Heartbeat {
-            slot: self.shared.slot.load(Ordering::Relaxed),
+            slot: self.core.shared.slot.load(Ordering::Relaxed),
             color: node.proto.color(),
             leader: node.proto.is_leader(),
         })
@@ -441,23 +479,23 @@ impl Service {
     /// standing-conflict mode). Session tokens are untouched; to its
     /// neighborhood a re-admitted node is simply a late joiner.
     fn reprovision(&self) {
-        let mut router = self.router.write().expect("router lock");
+        let (_gate, mut router) = self.core.write_router();
         let Some(kappa2) = router.refresh_kappa2() else {
             return;
         };
         let params = router.params(&self.cfg);
-        let wake = self.shared.slot.load(Ordering::Relaxed) + 1;
+        let wake = self.core.shared.slot.load(Ordering::Relaxed) + 1;
         for id in router.live_ids() {
             let at = router.shard_of(id) as usize;
             let was_decided;
             {
-                let mut shard = self.shards[at].lock().expect("shard lock");
+                let mut shard = self.core.shards[at].lock().expect("shard lock");
                 let node = shard.nodes.get_mut(id).expect("live node");
                 if node.proto.params().kappa2 >= kappa2 {
                     continue;
                 }
                 was_decided = node.proto.color().is_some();
-                let fresh = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
+                let fresh = self.core.shared.next_token.fetch_add(1, Ordering::Relaxed);
                 node.restart(fresh, params, self.cfg.seed, wake);
                 shard.watch(wake);
                 if was_decided {
@@ -465,8 +503,9 @@ impl Service {
                 }
             }
             if was_decided {
-                self.shared.undecided.fetch_add(1, Ordering::Relaxed);
-                self.tdma
+                self.core.shared.undecided.fetch_add(1, Ordering::Relaxed);
+                self.core
+                    .tdma
                     .lock()
                     .expect("tdma lock")
                     .retire(id, router.neighbors(id));
@@ -477,54 +516,45 @@ impl Service {
 
     /// Advances the slot clock by `slots`, stepping every live FSM with
     /// the simulator's intra-slot ordering. With `shards: 1` the loop
-    /// runs on the calling thread; otherwise k − 1 workers are scoped
-    /// in and the caller drives shard 0. Either way the coloring is
+    /// runs on the calling thread; otherwise the crew's k − 1 workers
+    /// join in and the caller drives shard 0. Either way the coloring is
     /// bit-identical (see the `crate::shard` module docs).
     pub fn step(&self, slots: u64) {
         if slots == 0 {
             return;
         }
+        let core = &*self.core;
+        let _stepping = core.stepping.lock().expect("stepping lock");
         self.reprovision();
-        let router = self.router.read().expect("router lock");
+        let gate = core.gate.lock().expect("gate lock");
+        let router = core.router.read().expect("router lock");
         let cap = router.capacity();
-        for cell in &self.shards {
+        for cell in &core.shards {
             cell.lock().expect("shard lock").reserve(cap);
         }
-        let ctx = StepCtx {
-            router: &router,
-            shared: &self.shared,
-            mailbox: &self.mailbox,
+        let job = Job {
+            slots,
             params: router.params(&self.cfg),
             seed: self.cfg.seed,
             stall_slots: self.cfg.stall_slots,
         };
-        let k = self.shards.len();
-        let barrier = SpinBarrier::new(k);
-        if k == 1 {
-            worker_loop(0, &self.shards, &self.tdma, &ctx, &barrier, slots);
-        } else {
-            std::thread::scope(|scope| {
-                for at in 1..k {
-                    let ctx = &ctx;
-                    let barrier = &barrier;
-                    scope.spawn(move || {
-                        worker_loop(at, &self.shards, &self.tdma, ctx, barrier, slots)
-                    });
-                }
-                worker_loop(0, &self.shards, &self.tdma, &ctx, &barrier, slots);
-            });
+        if core.shards.len() > 1 {
+            self.crew.get_or_init(|| Crew::start(&self.core)).post(job);
         }
+        drop(gate);
+        let ctx = job.ctx(core, &router);
+        worker_loop(0, &core.shards, &core.tdma, &ctx, &core.barrier, slots);
         #[cfg(debug_assertions)]
         {
             let (mut undecided, mut live) = (0usize, 0usize);
-            for cell in &self.shards {
+            for cell in &core.shards {
                 let shard = cell.lock().expect("shard lock");
                 undecided += shard.undecided;
                 live += shard.nodes.len();
             }
             debug_assert_eq!(
                 undecided,
-                self.shared.undecided.load(Ordering::Relaxed),
+                core.shared.undecided.load(Ordering::Relaxed),
                 "per-shard undecided partitions the global count"
             );
             debug_assert_eq!(live, router.len(), "node tables partition the membership");
@@ -535,17 +565,17 @@ impl Service {
     /// O(shards + colors), not O(nodes): the TDMA state is patched
     /// incrementally by decide/leave events.
     pub fn snapshot(&self) -> Snapshot {
-        let router = self.router.read().expect("router lock");
+        let router = self.core.router.read().expect("router lock");
         let mut stats = ServiceStats {
             joins: router.joins,
             leaves: router.leaves,
             reprovisions: router.reprovisions,
-            heartbeats: self.shared.heartbeats.load(Ordering::Relaxed),
-            slots: self.shared.slot.load(Ordering::Relaxed),
+            heartbeats: self.core.shared.heartbeats.load(Ordering::Relaxed),
+            slots: self.core.shared.slot.load(Ordering::Relaxed),
             ..ServiceStats::default()
         };
-        let mut shard_undecided = Vec::with_capacity(self.shards.len());
-        for cell in &self.shards {
+        let mut shard_undecided = Vec::with_capacity(self.core.shards.len());
+        for cell in &self.core.shards {
             let shard = cell.lock().expect("shard lock");
             stats.transmissions += shard.stats.transmissions;
             stats.deliveries += shard.stats.deliveries;
@@ -553,9 +583,9 @@ impl Service {
             stats.resets += shard.stats.resets;
             shard_undecided.push(shard.undecided);
         }
-        let tdma = self.tdma.lock().expect("tdma lock");
+        let tdma = self.core.tdma.lock().expect("tdma lock");
         let live = router.len();
-        let undecided = self.shared.undecided.load(Ordering::Relaxed);
+        let undecided = self.core.shared.undecided.load(Ordering::Relaxed);
         Snapshot {
             slot: stats.slots,
             live,
@@ -731,6 +761,47 @@ mod tests {
     }
 
     #[test]
+    fn writers_racing_a_multi_shard_step_never_wedge_it() {
+        // The crew's workers read-lock the router after the caller; a
+        // writer queued in between would hold them back while the caller
+        // waits in the slot barrier. Hammer the service with joins,
+        // leaves and heartbeats from other threads while one thread
+        // steps, and make sure every step returns and the crew drops.
+        let svc = Service::new(ServiceConfig {
+            shards: 3,
+            max_live: 256,
+            ..cfg(16)
+        });
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for w in 0..2u32 {
+                let (svc, stop) = (&svc, &stop);
+                scope.spawn(move || {
+                    let mut live = std::collections::VecDeque::new();
+                    let mut i = 0u32;
+                    while !stop.load(Ordering::Relaxed) {
+                        let x = f64::from((i * 7 + w) % 12) * 0.5;
+                        live.push_back(svc.join(x, f64::from(w)).unwrap());
+                        for &t in &live {
+                            svc.heartbeat(t).unwrap();
+                        }
+                        if live.len() > 20 {
+                            svc.leave(live.pop_front().unwrap()).unwrap();
+                        }
+                        i += 1;
+                    }
+                });
+            }
+            for _ in 0..300 {
+                svc.step(3);
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(svc.slot(), 900);
+        assert!(svc.snapshot().stats.joins > 0);
+    }
+
+    #[test]
     fn deterministic_replay() {
         let run = || {
             let svc = Service::new(cfg(7));
@@ -782,14 +853,16 @@ mod tests {
         for &token in model.keys() {
             assert!(svc.heartbeat(token).is_ok(), "token {token} is live");
         }
-        let router = svc.router.read().unwrap();
+        let router = svc.core.router.read().unwrap();
         for (&token, &id) in model {
             assert_eq!(router.resolve(token), Ok(id));
-            let shard = svc.shards[router.shard_of(id) as usize].lock().unwrap();
+            let shard = svc.core.shards[router.shard_of(id) as usize]
+                .lock()
+                .unwrap();
             assert_eq!(shard.nodes.get(id).map(|n| n.token), Some(token));
         }
         let mut held = 0;
-        for (at, cell) in svc.shards.iter().enumerate() {
+        for (at, cell) in svc.core.shards.iter().enumerate() {
             let shard = cell.lock().unwrap();
             for (id, node) in shard.nodes.iter() {
                 assert_eq!(
@@ -820,7 +893,7 @@ mod tests {
         let mut seen = std::collections::BTreeSet::new();
         let mut admit = |svc: &Service, model: &mut BTreeMap<u64, NodeId>, x: f64, y: f64| {
             let t = svc.join(x, y).unwrap();
-            let id = svc.router.read().unwrap().resolve(t).unwrap();
+            let id = svc.core.router.read().unwrap().resolve(t).unwrap();
             if !seen.insert(id) {
                 reused += 1;
             }
@@ -891,7 +964,7 @@ mod tests {
         settle(svc, 2_000_000);
         svc.cfg.stall_slots = stall_slots;
         svc.step(2 * stall_slots);
-        for cell in &svc.shards {
+        for cell in &svc.core.shards {
             assert_eq!(cell.lock().unwrap().stall_floor, Slot::MAX);
         }
         assert_eq!(svc.snapshot().stats.resets, 0);
